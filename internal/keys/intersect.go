@@ -46,13 +46,20 @@ func NewIntersector(pool int) (*Intersector, error) {
 
 // Reset points the Intersector at a new set of rings (typically one
 // deployment's assignment) and rebuilds its index if the dense strategy is
-// selected. Ring IDs must lie in [0, pool).
+// selected. Ring IDs must lie in [0, pool); both strategies reject an
+// out-of-pool ID, checked at each sorted ring's ends.
 func (x *Intersector) Reset(rings []Ring) error {
 	x.rings = rings
+	x.dense = false
 	minRing := 0
 	for i, r := range rings {
 		if i == 0 || r.Len() < minRing {
 			minRing = r.Len()
+		}
+		if n := r.Len(); n > 0 {
+			if lo, hi := r.ids[0], r.ids[n-1]; lo < 0 || int(hi) >= x.pool {
+				return fmt.Errorf("keys: intersector: ring %d spans keys [%d,%d], outside pool [0,%d)", i, lo, hi, x.pool)
+			}
 		}
 	}
 	x.dense = len(rings) > 0 && x.pool <= denseRingFactor*minRing
@@ -69,10 +76,6 @@ func (x *Intersector) Reset(rings []Ring) error {
 	for i, r := range rings {
 		row := x.flat[i*x.stride : (i+1)*x.stride]
 		for _, k := range r.ids {
-			if int(k) < 0 || int(k) >= x.pool {
-				x.dense = false
-				return fmt.Errorf("keys: intersector: ring %d key %d outside pool [0,%d)", i, k, x.pool)
-			}
 			row[k/64] |= 1 << (uint(k) % 64)
 		}
 	}

@@ -107,6 +107,35 @@ func TestIntersectorMatchesMerge(t *testing.T) {
 	}
 }
 
+// TestIntersectorRejectsOutOfPoolKeys pins Reset's validation on both
+// strategies: a key ID at or past the pool, or a negative one, is an error
+// whether the rings select the bitmap arena or the sorted merge.
+func TestIntersectorRejectsOutOfPoolKeys(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pool int
+		bad  ID
+	}{
+		{name: "dense/past-pool", pool: 64, bad: 64},
+		{name: "dense/negative", pool: 64, bad: -1},
+		{name: "sparse/past-pool", pool: 4096, bad: 4096},
+		{name: "sparse/negative", pool: 4096, bad: -1},
+	} {
+		ix, err := NewIntersector(tc.pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rings := []Ring{NewRing([]ID{1, 2, 3}), NewRing([]ID{2, 3, tc.bad})}
+		if err := ix.Reset(rings); err == nil {
+			t.Errorf("%s: Reset accepted key %d in pool %d", tc.name, tc.bad, tc.pool)
+		}
+		// A valid assignment afterwards resets cleanly.
+		if err := ix.Reset(rings[:1]); err != nil {
+			t.Errorf("%s: Reset after rejection: %v", tc.name, err)
+		}
+	}
+}
+
 // TestAssignIntoMatchesAssign pins the determinism contract of the arena
 // path: for equal generator seeds, AssignInto must produce exactly the rings
 // Assign does — including across arena reuse.

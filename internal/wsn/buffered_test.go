@@ -1,6 +1,7 @@
 package wsn
 
 import (
+	"math"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
@@ -79,7 +80,9 @@ func TestBufferedDeploymentMatchesUnbuffered(t *testing.T) {
 // (DeployConnectivity, whose persistent yield closure keeps the
 // EdgeEmitter interface crossing allocation-free), and on the streaming
 // degree path (DeployDegreeStats, same closure discipline with the degree
-// accumulator riding beside the union-find).
+// accumulator riding beside the union-find). The Figure 1 point takes the
+// streaming row index; a ladder-rung density (sparse channel) keeps both
+// streaming modes on the Intersector, so each strategy is gated.
 func TestConnectivityTrialAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs the full n=1000 deployment")
@@ -89,6 +92,15 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := NewDeployer(Config{Sensors: 1000, Scheme: scheme, Channel: channel.OnOff{P: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladderScheme, err := keys.NewQComposite(512, 32, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder, err := NewDeployer(Config{Sensors: 1000, Scheme: ladderScheme,
+		Channel: channel.OnOff{P: 8 * math.Log(1000) / (0.594 * 1000)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +128,18 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
+		"streaming-intersector": func() {
+			seed++
+			if _, err := ladder.DeployConnectivity(seed); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"streaming-degrees-intersector": func() {
+			seed++
+			if _, err := ladder.DeployDegreeStats(seed, 2); err != nil {
+				t.Fatal(err)
+			}
+		},
 	}
 	for name, trial := range trials {
 		t.Run(name, func(t *testing.T) {
@@ -127,5 +151,9 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 				t.Errorf("%s connectivity trial allocates %.1f allocs/run, want 0", name, avg)
 			}
 		})
+	}
+	if !d.rowIndex || ladder.rowIndex {
+		t.Errorf("streaming row index: Figure 1 point %v, ladder rung %v; want true, false",
+			d.rowIndex, ladder.rowIndex)
 	}
 }

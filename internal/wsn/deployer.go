@@ -45,9 +45,12 @@ const maxCountedOverlap = 255
 // with a dense triangular counter table at small n and a per-row counter at
 // large n. Otherwise it intersects rings per channel edge through a
 // density-adaptive keys.Intersector (bitset-backed for dense rings, sorted
-// merge for sparse ones). All strategies compute the same exact predicate
-// from the actual per-sensor rings (ring sizes may differ per class), so
-// the resulting topology is byte-identical whichever runs.
+// merge for sparse ones). The streaming modes choose between the same two
+// families per deployment: a lazily rebuilt per-row count over the
+// key→holders index, or the Intersector (see useRowIndex). All strategies
+// compute the same exact predicate from the actual per-sensor rings (ring
+// sizes may differ per class), so the resulting topology is byte-identical
+// whichever runs.
 type Deployer struct {
 	cfg   Config
 	arena keys.RingArena
@@ -84,9 +87,16 @@ type Deployer struct {
 	touched  []int32 // packed (u<<16|v) pairs with a nonzero count
 	rowStart []int32 // triangular row offsets: idx(u,v) = rowStart[u] + v
 
-	// Sparse per-row counting (larger n).
+	// Sparse per-row counting (larger n, and the streaming row index).
 	rowCnt     []uint8 // shared-key count of the current row's pairs
 	rowTouched []int32 // peers of the current row with a nonzero count
+
+	// Streaming row index (see sharesQ): whether the current streaming
+	// deployment answers pairs from rowCnt, the rings it counts from, and
+	// the sensor whose row rowCnt holds (-1 when none).
+	rowIndex bool
+	rowRings []keys.Ring
+	row      int32
 
 	// Streaming connectivity-only mode (DeployConnectivity): the union-find
 	// sink and its persistent yield closure. The closure is created once and
@@ -187,7 +197,7 @@ func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 	// built through the deployer's second builder.
 	q := cfg.Scheme.RequiredOverlap()
 	d.edges = d.edges[:0]
-	if d.useIndexDiscovery(rings, channels, q) {
+	if d.useIndexDiscovery(rings, channels) {
 		err = d.discoverByIndex(rings, channels, q)
 	} else {
 		err = d.discoverByEdges(rings, channels, q)
@@ -208,26 +218,37 @@ func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 	return net, nil
 }
 
-// useIndexDiscovery decides the discovery strategy from the rings actually
-// assigned (per-sensor sizes; heterogeneous classes make them uneven). The
-// inverted index costs roughly ΣK index building plus Σ_k h_k² ≈ ΣK·(ΣK/P)
-// pair increments; per-edge intersection costs one O(mean K) ring
-// intersection per channel edge. The index also needs exact counters
-// (q below saturation).
-func (d *Deployer) useIndexDiscovery(rings []keys.Ring, channels *graph.Undirected, q int) bool {
+// useIndexDiscovery decides the CSR discovery strategy from the rings
+// actually assigned (per-sensor sizes; heterogeneous classes make them
+// uneven) and the sampled channel's edge count.
+func (d *Deployer) useIndexDiscovery(rings []keys.Ring, channels *graph.Undirected) bool {
+	return d.indexCheaper(totalKeys(rings), float64(channels.M()))
+}
+
+// indexCheaper is the discovery cost model shared by the CSR and streaming
+// paths. The inverted index costs roughly ΣK index building plus
+// Σ_k h_k² ≈ ΣK·(ΣK/P) pair increments; per-pair intersection costs one
+// O(mean K) ring intersection for each of the given channel pairs. The
+// index also needs exact counters (q below saturation).
+func (d *Deployer) indexCheaper(totalKeys int, pairs float64) bool {
 	n := d.cfg.Sensors
-	if n < 2 || q > maxCountedOverlap {
+	if n < 2 || d.cfg.Scheme.RequiredOverlap() > maxCountedOverlap {
 		return false
-	}
-	totalKeys := 0
-	for _, ring := range rings {
-		totalKeys += ring.Len()
 	}
 	pool := float64(d.cfg.Scheme.PoolSize())
 	nk := float64(totalKeys)
 	indexWork := nk * (nk/pool + 1)
-	edgeWork := float64(channels.M()) * nk / float64(n)
+	edgeWork := pairs * nk / float64(n)
 	return edgeWork > indexWork
+}
+
+// totalKeys returns ΣK, the number of key IDs across all rings.
+func totalKeys(rings []keys.Ring) int {
+	total := 0
+	for _, ring := range rings {
+		total += ring.Len()
+	}
+	return total
 }
 
 // discoverByEdges intersects the endpoint rings of every channel edge.
@@ -307,7 +328,7 @@ func (d *Deployer) buildKeyIndex(rings []keys.Ring, pool int) error {
 // discoverByIndex inverts the assignment into a key→holders index, counts
 // shared keys for every co-holding pair, and keeps pairs that both meet the
 // overlap requirement and have an on channel. Counters saturate at
-// maxCountedOverlap, which useIndexDiscovery guarantees is ≥ q. Small
+// maxCountedOverlap, which indexCheaper guarantees is ≥ q. Small
 // networks count into a dense triangular table; larger ones count row by
 // row in O(n) memory.
 func (d *Deployer) discoverByIndex(rings []keys.Ring, channels *graph.Undirected, q int) error {

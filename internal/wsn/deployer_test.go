@@ -52,10 +52,17 @@ func requireSameNetwork(t *testing.T, want, got *Network) {
 
 // deployerConfigs covers both discovery strategies and all channel models:
 // dense channels at small n take the inverted-index path, near-empty
-// channels the per-edge path (the strategy is logged per case).
+// channels the per-edge path. The streaming modes split the same way —
+// OnOff and AlwaysOn configs on the row index, the rest on the Intersector
+// (TestDiscoveryStrategySelection pins which case takes which).
 func deployerConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	scheme, err := keys.NewQComposite(500, 40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The Figure 1 regime scaled down: sparse rings (P > 128·K) and q = 3.
+	q3Scheme, err := keys.NewQComposite(3000, 20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +78,7 @@ func deployerConfigs(t *testing.T) map[string]Config {
 	}
 	return map[string]Config{
 		"onoff-dense":   {Sensors: 120, Scheme: scheme, Channel: channel.OnOff{P: 0.8}},
+		"onoff-q3":      {Sensors: 200, Scheme: q3Scheme, Channel: channel.OnOff{P: 0.5}},
 		"onoff-sparse":  {Sensors: 120, Scheme: sparseScheme, Channel: channel.OnOff{P: 0.01}},
 		"always-on":     {Sensors: 80, Scheme: scheme, Channel: channel.AlwaysOn{}},
 		"disk-torus":    {Sensors: 100, Scheme: scheme, Channel: channel.Disk{Radius: 0.3, Torus: true}},
@@ -374,11 +382,13 @@ func TestNewDeployerValidatesEagerly(t *testing.T) {
 }
 
 // TestDiscoveryStrategySelection asserts that the test configurations above
-// genuinely exercise both discovery strategies.
+// genuinely exercise both discovery strategies, on the CSR path and on the
+// streaming path.
 func TestDiscoveryStrategySelection(t *testing.T) {
 	cfgs := deployerConfigs(t)
 	wantIndex := map[string]bool{
 		"onoff-dense":   true,
+		"onoff-q3":      true,
 		"onoff-sparse":  false, // ~70 channel edges: per-edge intersection wins
 		"always-on":     true,
 		"onoff-all-off": false, // empty channel graph
@@ -397,9 +407,33 @@ func TestDiscoveryStrategySelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := d.useIndexDiscovery(asg.Rings, channels, cfg.Scheme.RequiredOverlap()); got != want {
+		if got := d.useIndexDiscovery(asg.Rings, channels); got != want {
 			t.Errorf("%s: useIndexDiscovery = %v, want %v (channel edges %d)",
 				name, got, want, channels.M())
+		}
+	}
+
+	wantRow := map[string]bool{
+		"onoff-dense":         true,
+		"onoff-q3":            true,
+		"always-on":           true,
+		"hetero-onoff":        true,
+		"onoff-sparse":        false,
+		"onoff-all-off":       false,
+		"disk-torus":          false, // no closed-form pair count
+		"disk-zero":           false,
+		"hetero-heterchannel": false,
+	}
+	for name, want := range wantRow {
+		d, err := NewDeployer(cfgs[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.DeployConnectivity(1); err != nil {
+			t.Fatal(err)
+		}
+		if d.rowIndex != want {
+			t.Errorf("%s: streaming row index = %v, want %v", name, d.rowIndex, want)
 		}
 	}
 }

@@ -29,11 +29,12 @@ type ConnStats struct {
 
 // DeployConnectivity runs a deployment in connectivity-only mode from the
 // given seed: key rings are assigned exactly as Deploy, but the channel draw
-// is streamed edge by edge through the ring intersector into a union-find —
-// no channel CSR, no secure CSR, no edge list, no link keys — so memory
-// stays O(n + ΣK) however dense the channel is. The emitter is stopped as
-// soon as one component remains (the verdict of every further edge is
-// determined), which on the connected plateau skips most of each draw.
+// is streamed edge by edge through the shared-key test (sharesQ) into a
+// union-find — no channel CSR, no secure CSR, no edge list, no link keys —
+// so memory stays O(n + ΣK) however dense the channel is. The emitter is
+// stopped as soon as one component remains (the verdict of every further
+// edge is determined), which on the connected plateau skips most of each
+// draw.
 //
 // Determinism: rings and channel randomness are drawn exactly as Deploy up
 // to the early exit, and the reported statistics are order-independent
@@ -62,7 +63,7 @@ func (d *Deployer) deployConnectivity(r *rng.Rand) (ConnStats, error) {
 		// closure per call; capturing only the receiver keeps the trial
 		// loop at zero allocations.
 		d.streamYield = func(u, v int32) bool {
-			if d.ix.HasAtLeast(u, v, d.streamQ) {
+			if d.sharesQ(u, v) {
 				d.suf.Add(u, v)
 			}
 			return !d.suf.Done()
@@ -106,7 +107,7 @@ type DegreeStats struct {
 
 // DeployDegreeStats runs a deployment in streaming degree mode from the
 // given seed: like DeployConnectivity, the channel draw streams edge by
-// edge through the ring intersector, but the secure edges feed a per-node
+// edge through the shared-key test, but the secure edges feed a per-node
 // degree accumulator BESIDE the union-find in the same pass. It answers the
 // paper's min-degree figures — P[min degree ≥ k] and its coupling with
 // k-connectivity — with O(n + ΣK) memory and no CSR graph at any n. The
@@ -140,7 +141,7 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 		// Persistent for the same reason as streamYield; one closure serves
 		// every k because the accumulator holds the current target.
 		d.degYield = func(u, v int32) bool {
-			if d.ix.HasAtLeast(u, v, d.streamQ) {
+			if d.sharesQ(u, v) {
 				d.suf.Add(u, v)
 				d.sd.Add(u, v)
 			}
@@ -164,10 +165,10 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 }
 
 // streamSecureEdges is the shared core of the graph-free deployment modes:
-// key predistribution, ring-intersector reset, and the channel draw
-// streamed edge by edge into yield (which filters by secure overlap and
-// feeds whatever sinks the mode maintains). The caller resets its sinks
-// first; yield's early-exit verdict stops the emitter.
+// key predistribution, the shared-key test's setup, and the channel draw
+// streamed edge by edge into yield (which filters by sharesQ and feeds
+// whatever sinks the mode maintains). The caller resets its sinks first;
+// yield's early-exit verdict stops the emitter.
 func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) error {
 	n := d.cfg.Sensors
 
@@ -183,19 +184,10 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) e
 		return err
 	}
 
-	// 2. Discovery state: the exact per-edge intersection predicate (the
-	// same keys.Intersector the per-edge CSR strategy uses).
-	if d.ix == nil {
-		ix, err := keys.NewIntersector(d.cfg.Scheme.PoolSize())
-		if err != nil {
-			return err
-		}
-		d.ix = ix
-	}
-	if err := d.ix.Reset(asg.Rings); err != nil {
+	// 2. The shared-key test, exact whichever strategy it picks.
+	if err := d.resetSharesQ(asg.Rings); err != nil {
 		return err
 	}
-	d.streamQ = d.cfg.Scheme.RequiredOverlap()
 
 	// 3. Stream the channel draw into the sinks. Class-aware models take
 	// priority exactly as in deploy, so a model that is class-aware AND a
@@ -227,5 +219,95 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) e
 			g.ForEachEdge(yield)
 		}
 	}
+	// The early exit can stop mid-row; clearing the counted row keeps rowCnt
+	// all-zero between deployments, as countPairsByRow expects.
+	d.clearRow()
 	return err
+}
+
+// resetSharesQ readies sharesQ for one deployment's rings: it picks the
+// strategy and builds only that one's state — the key→holders index behind
+// the per-row counter, or the keys.Intersector the per-edge CSR strategy
+// uses.
+func (d *Deployer) resetSharesQ(rings []keys.Ring) error {
+	d.streamQ = d.cfg.Scheme.RequiredOverlap()
+	d.rowIndex = d.useRowIndex(totalKeys(rings))
+	if d.rowIndex {
+		if n := d.cfg.Sensors; cap(d.rowCnt) < n {
+			d.rowCnt = make([]uint8, n)
+		}
+		d.rowRings = rings
+		d.row = -1
+		return d.buildKeyIndex(rings, d.cfg.Scheme.PoolSize())
+	}
+	if d.ix == nil {
+		ix, err := keys.NewIntersector(d.cfg.Scheme.PoolSize())
+		if err != nil {
+			return err
+		}
+		d.ix = ix
+	}
+	return d.ix.Reset(rings)
+}
+
+// useRowIndex selects the streaming shared-key strategy with indexCheaper,
+// charged with the channel's expected pair count: p·C(n,2) for OnOff and
+// C(n,2) for AlwaysOn. Other models keep the Intersector.
+func (d *Deployer) useRowIndex(totalKeys int) bool {
+	n := float64(d.cfg.Sensors)
+	pairs := n * (n - 1) / 2
+	switch ch := d.cfg.Channel.(type) {
+	case channel.OnOff:
+		pairs *= ch.P
+	case channel.AlwaysOn:
+	default:
+		return false
+	}
+	return d.indexCheaper(totalKeys, pairs)
+}
+
+// sharesQ reports whether sensors u and v share at least q keys — exactly
+// Intersector.HasAtLeast — with the strategy resetSharesQ picked.
+// On the row index it answers from rowCnt, recounting when u differs from
+// the counted row. The built-in emitters walk pairs row by row, so each
+// row is counted once and rows past the early exit are never counted; any
+// other order stays exact, only slower.
+func (d *Deployer) sharesQ(u, v int32) bool {
+	if !d.rowIndex {
+		return d.ix.HasAtLeast(u, v, d.streamQ)
+	}
+	if u != d.row {
+		d.countRow(u)
+	}
+	return int(d.rowCnt[v]) >= d.streamQ
+}
+
+// countRow sets rowCnt[w] = |ring(u) ∩ ring(w)| for every sensor w
+// (saturating at maxCountedOverlap) by walking the holders of u's keys:
+// about K·ΣK/P increments instead of one ring merge per pair. u counts
+// itself, so a (u, u) query answers |ring(u)| ≥ q as HasAtLeast does.
+func (d *Deployer) countRow(u int32) {
+	d.clearRow()
+	d.row = u
+	rowCnt := d.rowCnt
+	d.rowRings[u].ForEachID(func(k keys.ID) bool {
+		for _, w := range d.holders[d.keyOff[k]:d.keyOff[k+1]] {
+			if rowCnt[w] == 0 {
+				d.rowTouched = append(d.rowTouched, w)
+			}
+			if rowCnt[w] < maxCountedOverlap {
+				rowCnt[w]++
+			}
+		}
+		return true
+	})
+}
+
+// clearRow zeroes the counted row and forgets it.
+func (d *Deployer) clearRow() {
+	for _, w := range d.rowTouched {
+		d.rowCnt[w] = 0
+	}
+	d.rowTouched = d.rowTouched[:0]
+	d.row = -1
 }

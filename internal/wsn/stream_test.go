@@ -1,6 +1,7 @@
 package wsn
 
 import (
+	"math"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
@@ -320,5 +321,269 @@ func TestDeployConnectivityTinyNetworks(t *testing.T) {
 		if got != want {
 			t.Errorf("n=%d: %+v, want %+v", n, got, want)
 		}
+	}
+}
+
+// opaqueOnOff is OnOff under another type: every draw is the same, but
+// useRowIndex no longer recognizes the model, so the streaming modes take
+// the Intersector.
+type opaqueOnOff struct{ channel.OnOff }
+
+// TestStreamingStrategiesShareOneDeployer alternates CSR deployments and
+// both streaming strategies on one Deployer — at a size on the dense
+// counter table and one on the CSR per-row counter — and checks every
+// answer against a fresh CSR deployment. After each step the row counter
+// must be all-zero (the early exit stops mid-row) and, except after a CSR
+// per-row count that keeps them as cursors, so must the per-key counters.
+func TestStreamingStrategiesShareOneDeployer(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		n, pool, ring   int
+		q               int
+		p               float64
+		csrKeepsCursors bool
+	}{
+		{name: "dense-table", n: 120, pool: 500, ring: 40, q: 2, p: 0.8},
+		{name: "row-table", n: maxDenseCounterNodes + 100, pool: 3000, ring: 8, q: 1, p: 0.3, csrKeepsCursors: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			scheme, err := keys.NewQComposite(c.pool, c.ring, c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onoff := channel.OnOff{P: c.p}
+			cfg := Config{Sensors: c.n, Scheme: scheme, Channel: onoff}
+			d, err := NewDeployer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := func(seed uint64) *Network {
+				refCfg := cfg
+				refCfg.Seed = seed
+				net, err := Deploy(refCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return net
+			}
+			clean := func(step string, keyCntClean bool) {
+				t.Helper()
+				for w, cnt := range d.rowCnt {
+					if cnt != 0 {
+						t.Fatalf("%s: rowCnt[%d] = %d left over", step, w, cnt)
+					}
+				}
+				if len(d.rowTouched) != 0 {
+					t.Fatalf("%s: %d rowTouched entries left over", step, len(d.rowTouched))
+				}
+				if !keyCntClean {
+					return
+				}
+				for k, cnt := range d.keyCnt {
+					if cnt != 0 {
+						t.Fatalf("%s: keyCnt[%d] = %d left over", step, k, cnt)
+					}
+				}
+			}
+			deploy := func(seed uint64) {
+				t.Helper()
+				net, err := d.Deploy(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := connStatsOf(t, net), connStatsOf(t, ref(seed)); got != want {
+					t.Fatalf("Deploy(%d): %+v, want %+v", seed, got, want)
+				}
+				clean("Deploy", !c.csrKeepsCursors)
+			}
+			connectivity := func(seed uint64, ch channel.Model, wantRow bool) {
+				t.Helper()
+				d.cfg.Channel = ch
+				got, err := d.DeployConnectivity(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.rowIndex != wantRow {
+					t.Fatalf("DeployConnectivity(%d): row index %v, want %v", seed, d.rowIndex, wantRow)
+				}
+				if want := connStatsOf(t, ref(seed)); got != want {
+					t.Fatalf("DeployConnectivity(%d): %+v, want %+v", seed, got, want)
+				}
+				clean("DeployConnectivity", true)
+			}
+			degrees := func(seed uint64, ch channel.Model, wantRow bool) {
+				t.Helper()
+				d.cfg.Channel = ch
+				got, err := d.DeployDegreeStats(seed, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.rowIndex != wantRow {
+					t.Fatalf("DeployDegreeStats(%d): row index %v, want %v", seed, d.rowIndex, wantRow)
+				}
+				if want := degreeStatsOf(t, ref(seed), 2); got != want {
+					t.Fatalf("DeployDegreeStats(%d): %+v, want %+v", seed, got, want)
+				}
+				clean("DeployDegreeStats", true)
+			}
+			opaque := opaqueOnOff{onoff}
+			deploy(1)
+			connectivity(2, onoff, true)
+			connectivity(3, opaque, false)
+			degrees(4, opaque, false)
+			degrees(5, onoff, true)
+			d.cfg.Channel = onoff
+			deploy(2)
+			connectivity(1, onoff, true)
+			connectivity(1, opaque, false)
+		})
+	}
+}
+
+// TestStreamingStrategyRule pins which strategy the streaming modes pick at
+// the paper's design points, from the cost model alone (no deployment, so
+// the n = 10⁶ rung costs nothing): every Figure 1 point takes the row
+// index; the sparse-channel ladder rungs keep the Intersector.
+func TestStreamingStrategyRule(t *testing.T) {
+	type point struct {
+		name          string
+		n, pool, ring int
+		q             int
+		ch            channel.Model
+		want          bool
+	}
+	var cases []point
+	for _, k := range []int{28, 60, 88} {
+		for _, q := range []int{2, 3} {
+			for _, p := range []float64{0.2, 1} {
+				cases = append(cases, point{name: "figure1", n: 1000, pool: 10000, ring: k, q: q,
+					ch: channel.OnOff{P: p}, want: true})
+			}
+		}
+	}
+	for _, n := range []int{1_000, 100_000, 1_000_000} {
+		p := 8 * math.Log(float64(n)) / (0.594 * float64(n))
+		cases = append(cases, point{name: "ladder", n: n, pool: 512, ring: 32, q: 2,
+			ch: channel.OnOff{P: p}, want: false})
+	}
+	cases = append(cases,
+		point{name: "always-on", n: 1000, pool: 10000, ring: 60, q: 3, ch: channel.AlwaysOn{}, want: true},
+		point{name: "disk", n: 1000, pool: 10000, ring: 60, q: 3, ch: channel.Disk{Radius: 0.5}, want: false},
+		point{name: "opaque-onoff", n: 1000, pool: 10000, ring: 60, q: 3, ch: opaqueOnOff{channel.OnOff{P: 1}}, want: false},
+		point{name: "q-past-saturation", n: 1000, pool: 10000, ring: 300, q: maxCountedOverlap + 1,
+			ch: channel.AlwaysOn{}, want: false},
+		point{name: "singleton", n: 1, pool: 10000, ring: 60, q: 3, ch: channel.AlwaysOn{}, want: false},
+	)
+	for _, c := range cases {
+		scheme, err := keys.NewQComposite(c.pool, c.ring, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDeployer(Config{Sensors: c.n, Scheme: scheme, Channel: c.ch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.useRowIndex(c.n * c.ring); got != c.want {
+			t.Errorf("%s n=%d K=%d q=%d %s: row index %v, want %v",
+				c.name, c.n, c.ring, c.q, c.ch.Name(), got, c.want)
+		}
+	}
+}
+
+// outOfPoolScheme assigns every sensor keys 0..ring−2 plus one key: the
+// pool's size for the last sensor, a valid ID otherwise — a malformed
+// assignment discovery must reject.
+type outOfPoolScheme struct{ pool, ring int }
+
+func (s outOfPoolScheme) Name() string          { return "out-of-pool" }
+func (s outOfPoolScheme) PoolSize() int         { return s.pool }
+func (s outOfPoolScheme) RequiredOverlap() int  { return 1 }
+func (s outOfPoolScheme) Classes() []keys.Class { return []keys.Class{{Mu: 1, RingSize: s.ring}} }
+func (s outOfPoolScheme) Assign(_ *rng.Rand, n int) (keys.Assignment, error) {
+	rings := make([]keys.Ring, n)
+	for v := range rings {
+		ids := make([]keys.ID, s.ring)
+		for i := range ids {
+			ids[i] = keys.ID(i)
+		}
+		if v == n-1 {
+			ids[s.ring-1] = keys.ID(s.pool)
+		}
+		rings[v] = keys.NewRing(ids)
+	}
+	return keys.Assignment{Rings: rings}, nil
+}
+
+// TestStreamingRejectsOutOfPoolKeys checks that a ring key outside the pool
+// is an error, not a panic, on the row index and on both Intersector
+// strategies, in both streaming modes and on the CSR path.
+func TestStreamingRejectsOutOfPoolKeys(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		scheme  outOfPoolScheme
+		ch      channel.Model
+		wantRow bool
+	}{
+		{name: "row-index", scheme: outOfPoolScheme{pool: 100, ring: 10}, ch: channel.AlwaysOn{}, wantRow: true},
+		{name: "intersector-dense", scheme: outOfPoolScheme{pool: 100, ring: 10}, ch: opaqueOnOff{channel.OnOff{P: 0.5}}},
+		{name: "intersector-merge", scheme: outOfPoolScheme{pool: 10000, ring: 10}, ch: opaqueOnOff{channel.OnOff{P: 0.5}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := NewDeployer(Config{Sensors: 50, Scheme: c.scheme, Channel: c.ch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := d.useRowIndex(50 * c.scheme.ring); got != c.wantRow {
+				t.Fatalf("row index %v, want %v", got, c.wantRow)
+			}
+			if _, err := d.DeployConnectivity(1); err == nil {
+				t.Error("DeployConnectivity: want an out-of-pool error")
+			}
+			if _, err := d.DeployDegreeStats(1, 1); err == nil {
+				t.Error("DeployDegreeStats: want an out-of-pool error")
+			}
+			if _, err := d.Deploy(1); err == nil {
+				t.Error("Deploy: want an out-of-pool error")
+			}
+		})
+	}
+}
+
+// BenchmarkFigure1DeployConnectivity times one Figure 1 trial on the engine
+// cmd/figure1 runs — DeployConnectivity at n = 1000, P = 10000 — for each
+// of the six curves at its paper K* threshold, where trials split between
+// connected and not and the early exit fires late.
+func BenchmarkFigure1DeployConnectivity(b *testing.B) {
+	curves := []struct {
+		name string
+		q    int
+		p    float64
+		k    int
+	}{
+		{name: "q2_p1.0_K35", q: 2, p: 1.0, k: 35},
+		{name: "q2_p0.5_K41", q: 2, p: 0.5, k: 41},
+		{name: "q2_p0.2_K52", q: 2, p: 0.2, k: 52},
+		{name: "q3_p1.0_K60", q: 3, p: 1.0, k: 60},
+		{name: "q3_p0.5_K67", q: 3, p: 0.5, k: 67},
+		{name: "q3_p0.2_K78", q: 3, p: 0.2, k: 78},
+	}
+	for _, c := range curves {
+		b.Run(c.name, func(b *testing.B) {
+			scheme, err := keys.NewQComposite(10000, c.k, c.q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := NewDeployer(Config{Sensors: 1000, Scheme: scheme, Channel: channel.OnOff{P: c.p}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.DeployConnectivity(uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
