@@ -32,6 +32,17 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so clients that open connections and stall cannot hold
+// them (and their goroutines) indefinitely. Request bodies are bounded by
+// the job handler itself.
+const readHeaderTimeout = 5 * time.Second
+
+// newHTTPServer returns the daemon's HTTP server for handler on addr.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func run() error {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8322", "listen address")
@@ -63,7 +74,7 @@ func run() error {
 		TrialWorkers: *workers,
 	})
 
-	srv := &http.Server{Addr: *addr, Handler: sweepserve.NewServer(manager)}
+	srv := newHTTPServer(*addr, sweepserve.NewServer(manager))
 	// The drain sequence on SIGINT/SIGTERM: stop the manager first (running
 	// sweeps cancel, still-queued jobs fail with "shutting down" — every job
 	// reaches a terminal state, so SSE streams emit their final event and

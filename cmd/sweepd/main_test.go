@@ -2,9 +2,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -155,5 +158,39 @@ func TestSigtermDrainAndRestart(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("second daemon did not drain")
+	}
+}
+
+// TestStalledHeadersAreCut opens a connection that sends half a request
+// header and stalls: the daemon's server must close it once
+// readHeaderTimeout has passed, instead of holding it open.
+func TestStalledHeadersAreCut(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(ln.Addr().String(), http.NotFoundHandler())
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST /v1/jobs HTTP/1.1\r\nHost: sweepd\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(3 * readHeaderTimeout)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after %v", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
 	}
 }

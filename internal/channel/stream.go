@@ -19,7 +19,10 @@ import (
 // returns false the draw stops immediately and the rest of its randomness
 // is NOT consumed; callers must only early-exit streams nothing else draws
 // from (per-trial streams qualify). wsn.Deployer's graph-free modes use
-// EmitEdges when the configured model provides it.
+// EmitEdges when the configured model provides it; they return false once
+// their verdict is final — at the deciding pair on the row-indexed
+// shared-key test, at the end of the batch of pairs holding it on the
+// Intersector — so a stream may be drawn up to one batch past that pair.
 type EdgeEmitter interface {
 	Model
 	// EmitEdges streams the channel draw on n nodes to yield.

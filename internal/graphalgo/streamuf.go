@@ -21,6 +21,7 @@ type StreamUnionFind struct {
 	size     []int32 // component size per root (valid at root indices only)
 	giant    int32   // size of the largest component so far
 	isolated int     // vertices still in singleton components
+	touch    int32   // sink of AddBatch's load pass, so it is not elided
 }
 
 // Reset reinitializes the structure to n singleton vertices, reusing grown
@@ -62,6 +63,37 @@ func (s *StreamUnionFind) Add(u, v int32) bool {
 		s.giant = total
 	}
 	return true
+}
+
+// AddBatch pushes the edges pairs[idx[0]], pairs[idx[1]], … in order and
+// stops after the first one after which Done holds, returning how many
+// entries of idx it pushed (len(idx) when Done never fired; 0 when Done
+// already held). It matches calling Add on each edge and checking Done
+// after each: same stop, same statistics.
+//
+// Before pushing, it loads parent[u] and parent[v] of every edge in one
+// independent pass, so those cache misses — at large n each endpoint is a
+// random slot of an O(n) array — overlap instead of being paid one Find at a
+// time.
+func (s *StreamUnionFind) AddBatch(pairs [][2]int32, idx []int32) int {
+	if s.Done() {
+		return 0
+	}
+	parent := s.uf.parent
+	var touch int32
+	for _, i := range idx {
+		e := pairs[i]
+		touch ^= parent[e[0]] ^ parent[e[1]]
+	}
+	s.touch = touch
+	for j, i := range idx {
+		e := pairs[i]
+		s.Add(e[0], e[1])
+		if s.Done() {
+			return j + 1
+		}
+	}
+	return len(idx)
 }
 
 // Done reports whether further edges cannot change any statistic: a single

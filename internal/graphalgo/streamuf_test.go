@@ -1,10 +1,14 @@
 package graphalgo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/graph"
+	"github.com/secure-wsn/qcomposite/internal/keys"
+	"github.com/secure-wsn/qcomposite/internal/randgraph"
+	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
 // feedGraph pushes every edge of g into the sink after resetting it to g's
@@ -143,4 +147,140 @@ func TestStreamUnionFindEdgeOrderIndependence(t *testing.T) {
 			t.Fatalf("pass %d: stats depend on edge order", pass)
 		}
 	}
+}
+
+// TestAddBatchMatchesAdd pins the batch push to sequential Add with a Done
+// check after every edge: over random streams with self-loops, repeated
+// edges and random accepted subsets, each AddBatch must stop at the same
+// position, and leave the same statistics, as the reference — including
+// batches pushed after Done (which push nothing) and empty ones.
+func TestAddBatchMatchesAdd(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(40)
+		var got, want StreamUnionFind
+		got.Reset(n)
+		want.Reset(n)
+		for b := 0; b < 30; b++ {
+			pairs := make([][2]int32, r.Intn(20))
+			for i := range pairs {
+				pairs[i] = [2]int32{int32(r.Intn(n)), int32(r.Intn(n))}
+			}
+			var idx []int32
+			for i := range pairs {
+				if r.Intn(3) > 0 {
+					idx = append(idx, int32(i))
+				}
+			}
+			wantPos := 0
+			if !want.Done() {
+				wantPos = len(idx)
+				for j, i := range idx {
+					want.Add(pairs[i][0], pairs[i][1])
+					if want.Done() {
+						wantPos = j + 1
+						break
+					}
+				}
+			}
+			if pos := got.AddBatch(pairs, idx); pos != wantPos {
+				t.Fatalf("trial %d batch %d: AddBatch stopped at %d, want %d", trial, b, pos, wantPos)
+			}
+			if got.Components() != want.Components() || got.GiantSize() != want.GiantSize() ||
+				got.IsolatedCount() != want.IsolatedCount() || got.Done() != want.Done() {
+				t.Fatalf("trial %d batch %d: stats (%d, %d, %d) want (%d, %d, %d)", trial, b,
+					got.Components(), got.GiantSize(), got.IsolatedCount(),
+					want.Components(), want.GiantSize(), want.IsolatedCount())
+			}
+		}
+	}
+}
+
+// BenchmarkStreamUnionFindAddBatch measures the union-find sink per
+// accepted edge on a recorded n = 10⁶ stream (see recordLadderEdges),
+// replayed in the trial's batches of ~150 accepted edges (a 256-pair batch
+// at a 0.594 accept ratio). AddBatch runs against sequential Add with a
+// Done check, the path it replaces.
+func BenchmarkStreamUnionFindAddBatch(b *testing.B) {
+	const (
+		n     = 1_000_000
+		batch = 152
+	)
+	edges := recordLadderEdges(b, n, 1<<22)
+	idx := make([]int32, batch)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	// run pushes b.N edges batch by batch, restarting the recording (and
+	// the sink, untimed) whenever it runs out.
+	run := func(b *testing.B, push func(s *StreamUnionFind, batch [][2]int32)) {
+		var s StreamUnionFind
+		s.Reset(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done, pos := 0, 0; done < b.N; {
+			if pos == len(edges) {
+				b.StopTimer()
+				s.Reset(n)
+				pos = 0
+				b.StartTimer()
+			}
+			m := min(batch, b.N-done, len(edges)-pos)
+			push(&s, edges[pos:pos+m])
+			pos += m
+			done += m
+		}
+	}
+	b.Run("AddBatch", func(b *testing.B) {
+		run(b, func(s *StreamUnionFind, batch [][2]int32) {
+			s.AddBatch(batch, idx[:len(batch)])
+		})
+	})
+	b.Run("Add", func(b *testing.B) {
+		run(b, func(s *StreamUnionFind, batch [][2]int32) {
+			for _, e := range batch {
+				s.Add(e[0], e[1])
+				if s.Done() {
+					break
+				}
+			}
+		})
+	})
+}
+
+// recordLadderEdges returns the first m secure edges, in emission order, of
+// a streaming-ladder trial on n sensors (P = 512, K = 32, q = 2,
+// p = 8·ln n/(0.594·n)). At n = 10⁶, m = 2²² is about a third of the
+// trial's union-find work.
+func recordLadderEdges(tb testing.TB, n, m int) [][2]int32 {
+	tb.Helper()
+	scheme, err := keys.NewQComposite(512, 32, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := rng.New(21)
+	var arena keys.RingArena
+	asg, err := scheme.AssignInto(r, n, &arena)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ix, err := keys.NewIntersector(scheme.PoolSize())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := ix.Reset(asg.Rings); err != nil {
+		tb.Fatal(err)
+	}
+	edges := make([][2]int32, 0, m)
+	p := 8 * math.Log(float64(n)) / (0.594 * float64(n))
+	err = randgraph.AppendErdosRenyiStream(r, n, p, func(u, v int32) bool {
+		if ix.HasAtLeast(u, v, 2) {
+			edges = append(edges, [2]int32{u, v})
+		}
+		return len(edges) < m
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return edges
 }

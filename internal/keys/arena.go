@@ -2,6 +2,7 @@ package keys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
@@ -10,14 +11,22 @@ import (
 // of an assignment live in one flat backing slice and the Ring headers in one
 // slice, so assigning n rings costs O(1) allocations after the first use.
 //
+// Each ring is materialized sorted and deduplicated without a comparison
+// sort when the pool is small next to the ring: once ⌈P/64⌉ ≤ K, setting
+// the K drawn IDs as bits in a ⌈P/64⌉-word scratch bitmap and extracting
+// them in word order is cheaper than sorting K values, and yields the same
+// ring. Larger pools keep sortDedup. The sampler draws are the same either
+// way.
+//
 // Rings returned by an arena-backed assignment are views into the arena and
 // remain valid only until the next assignment into the same arena. The zero
 // value is ready to use.
 type RingArena struct {
 	ids     []ID
 	rings   []Ring
-	labels  []uint8 // per-sensor class labels of multi-class schemes
-	buf     []ID    // per-ring scratch for sampling before sort/dedup
+	labels  []uint8  // per-sensor class labels of multi-class schemes
+	buf     []ID     // per-ring scratch for sampling before sort/dedup
+	bitmap  []uint64 // per-ring ⌈P/64⌉-word scratch, all-zero between rings
 	sampler *rng.SubsetSampler
 }
 
@@ -33,6 +42,7 @@ func (a *RingArena) ensureSampler(pool int) (*rng.SubsetSampler, error) {
 		if err != nil {
 			return nil, fmt.Errorf("keys: assign: %w", err)
 		}
+		a.bitmap = make([]uint64, (pool+63)/64)
 	}
 	return a.sampler, nil
 }
@@ -52,7 +62,8 @@ func (a *RingArena) reserve(n, totalIDs int) {
 	a.rings = a.rings[:0]
 }
 
-// appendRing samples one ring of the given size into the arena.
+// appendRing samples one ring of the given size into the arena, sorted by
+// the bitmap when ⌈P/64⌉ ≤ size and by sortDedup otherwise.
 func (a *RingArena) appendRing(r *rng.Rand, sampler *rng.SubsetSampler, size int) error {
 	buf, err := sampler.AppendSample(r, size, a.buf[:0])
 	a.buf = buf
@@ -60,9 +71,34 @@ func (a *RingArena) appendRing(r *rng.Rand, sampler *rng.SubsetSampler, size int
 		return err
 	}
 	start := len(a.ids)
-	a.ids = append(a.ids, sortDedup(a.buf)...)
+	if len(a.bitmap) <= size {
+		a.ids = a.appendSortedByBitmap(a.ids, buf)
+	} else {
+		a.ids = append(a.ids, sortDedup(buf)...)
+	}
 	a.rings = append(a.rings, Ring{ids: a.ids[start:len(a.ids):len(a.ids)]})
 	return nil
+}
+
+// appendSortedByBitmap appends the distinct IDs of ids (all in [0, P)) to
+// dst in ascending order, leaving the scratch bitmap all-zero again.
+func (a *RingArena) appendSortedByBitmap(dst, ids []ID) []ID {
+	bm := a.bitmap
+	for _, k := range ids {
+		bm[k>>6] |= 1 << (uint(k) & 63)
+	}
+	for i, w := range bm {
+		if w == 0 {
+			continue
+		}
+		bm[i] = 0
+		base := ID(i << 6)
+		for w != 0 {
+			dst = append(dst, base+ID(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
 }
 
 // ArenaAssigner is implemented by schemes that can assign key rings into a

@@ -3,6 +3,7 @@ package keys
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // denseRingFactor selects the Intersector strategy: the flat-bitmap path
@@ -33,6 +34,7 @@ type Intersector struct {
 	dense  bool
 	stride int
 	flat   []uint64
+	touch  uint64 // sink of FilterAtLeast's load pass, so it is not elided
 }
 
 // NewIntersector returns an Intersector over rings drawn from a pool of the
@@ -124,6 +126,53 @@ func (x *Intersector) HasAtLeast(u, v int32, q int) bool {
 		return false
 	}
 	return x.rings[u].SharedAtLeast(x.rings[v], q)
+}
+
+// FilterAtLeast appends to keep the index i of every pairs[i] whose rings
+// share at least q keys, in ascending order, and returns the extended slice:
+// HasAtLeast over a batch. Give keep a capacity of len(keep)+len(pairs) to
+// stay allocation-free.
+//
+// On the dense strategy it is built to hide memory latency, since at large
+// n each pair's v row is a cache miss. A first pass loads one word of every
+// v row; the loop is short, so many misses are in flight at once. The
+// second pass is branch-free: it popcounts the full rows with no early exit
+// and advances the write cursor by the verdict arithmetically, so a
+// mispredicted verdict cannot stall the loads behind it.
+func (x *Intersector) FilterAtLeast(pairs [][2]int32, q int, keep []int32) []int32 {
+	if q <= 0 {
+		for i := range pairs {
+			keep = append(keep, int32(i))
+		}
+		return keep
+	}
+	if !x.dense {
+		for i, p := range pairs {
+			if x.rings[p[0]].SharedAtLeast(x.rings[p[1]], q) {
+				keep = append(keep, int32(i))
+			}
+		}
+		return keep
+	}
+	var touch uint64
+	for _, p := range pairs {
+		touch ^= x.flat[int(p[1])*x.stride]
+	}
+	x.touch = touch
+	n := len(keep)
+	keep = slices.Grow(keep, len(pairs))[:n+len(pairs)]
+	for i, p := range pairs {
+		a, b := x.row(p[0]), x.row(p[1])
+		b = b[:len(a)]
+		c := 0
+		for j, w := range a {
+			c += bits.OnesCount64(w & b[j])
+		}
+		keep[n] = int32(i)
+		// c ≥ q ⇔ q−1−c < 0: the sign bit is the verdict.
+		n += int(uint(q-1-c) >> (bits.UintSize - 1))
+	}
+	return keep[:n]
 }
 
 // AppendShared appends the sorted shared keys of rings u and v to dst and

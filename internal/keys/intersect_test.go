@@ -107,6 +107,63 @@ func TestIntersectorMatchesMerge(t *testing.T) {
 	}
 }
 
+// TestFilterAtLeastMatchesHasAtLeast pins the batch kernel to the per-pair
+// predicate on both strategies: for every q — including 0, and K, where
+// only identical rings qualify — FilterAtLeast must keep exactly the pairs
+// HasAtLeast accepts, in order, appended after whatever keep already held.
+// The batches include (u, u) pairs, and the empty batch appends nothing.
+func TestFilterAtLeastMatchesHasAtLeast(t *testing.T) {
+	r := rng.New(17)
+	for _, tc := range []struct {
+		pool, ring int
+		wantDense  bool
+	}{
+		{pool: 512, ring: 32, wantDense: true}, // the streaming ladder's rung
+		{pool: 64, ring: 16, wantDense: true},
+		{pool: 4096, ring: 8, wantDense: false},
+	} {
+		const n = 40
+		rings := randomRings(t, r, tc.pool, tc.ring, n)
+		ix, err := NewIntersector(tc.pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Reset(rings); err != nil {
+			t.Fatal(err)
+		}
+		if ix.Dense() != tc.wantDense {
+			t.Fatalf("pool=%d ring=%d: Dense() = %v, want %v", tc.pool, tc.ring, ix.Dense(), tc.wantDense)
+		}
+		var pairs [][2]int32
+		for u := int32(0); u < n; u++ {
+			for v := u; v < n; v++ {
+				pairs = append(pairs, [2]int32{u, v})
+			}
+		}
+		for _, q := range []int{0, 1, 2, 3, tc.ring} {
+			for _, batch := range [][][2]int32{pairs, pairs[:0], pairs[5:6], pairs[100:357]} {
+				prefix := []int32{-7, -8}
+				var want []int32
+				for i, p := range batch {
+					if ix.HasAtLeast(p[0], p[1], q) {
+						want = append(want, int32(i))
+					}
+				}
+				got := ix.FilterAtLeast(batch, q, prefix)
+				if len(got) != len(prefix)+len(want) || got[0] != -7 || got[1] != -8 {
+					t.Fatalf("pool=%d q=%d batch of %d: kept %d after the prefix, want %d",
+						tc.pool, q, len(batch), len(got)-len(prefix), len(want))
+				}
+				for i, w := range want {
+					if got[len(prefix)+i] != w {
+						t.Fatalf("pool=%d q=%d: kept %v, want %v", tc.pool, q, got[len(prefix):], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestIntersectorRejectsOutOfPoolKeys pins Reset's validation on both
 // strategies: a key ID at or past the pool, or a negative one, is an error
 // whether the rings select the bitmap arena or the sorted merge.
@@ -138,37 +195,94 @@ func TestIntersectorRejectsOutOfPoolKeys(t *testing.T) {
 
 // TestAssignIntoMatchesAssign pins the determinism contract of the arena
 // path: for equal generator seeds, AssignInto must produce exactly the rings
-// Assign does — including across arena reuse.
+// Assign does (which always sorts) — including across arena reuse and a
+// change of pool, on both materialization rules and at their boundary:
+// ⌈P/64⌉ = K takes the bitmap, ⌈P/64⌉ = K + 1 the sort.
 func TestAssignIntoMatchesAssign(t *testing.T) {
-	s, err := NewQComposite(500, 40, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 60
-	wantAsg, err := s.Assign(rng.New(99), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantAsg.Rings
 	var arena RingArena
-	for pass := 0; pass < 3; pass++ {
-		gotAsg, err := s.AssignInto(rng.New(99), n, &arena)
+	for _, tc := range []struct {
+		pool, ring int
+		bitmap     bool
+	}{
+		{pool: 500, ring: 40, bitmap: true},
+		{pool: 512, ring: 32, bitmap: true},
+		{pool: 512, ring: 8, bitmap: true},  // ⌈P/64⌉ = K
+		{pool: 513, ring: 8, bitmap: false}, // ⌈P/64⌉ = K + 1
+		{pool: 449, ring: 7, bitmap: false}, // ⌈P/64⌉ = K + 1
+		{pool: 448, ring: 7, bitmap: true},  // ⌈P/64⌉ = K
+		{pool: 64, ring: 64, bitmap: true},  // the whole pool
+		{pool: 10000, ring: 60, bitmap: false},
+	} {
+		if got := (tc.pool+63)/64 <= tc.ring; got != tc.bitmap {
+			t.Fatalf("pool=%d ring=%d: bitmap rule %v, case says %v", tc.pool, tc.ring, got, tc.bitmap)
+		}
+		s, err := NewQComposite(tc.pool, tc.ring, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := gotAsg.Rings
-		if len(got) != len(want) {
-			t.Fatalf("pass %d: %d rings, want %d", pass, len(got), len(want))
+		const n = 60
+		wantAsg, err := s.Assign(rng.New(99), n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for v := range want {
-			w, g := want[v].IDs(), got[v].IDs()
-			if len(w) != len(g) {
-				t.Fatalf("pass %d: ring %d has %d keys, want %d", pass, v, len(g), len(w))
+		for pass := 0; pass < 2; pass++ {
+			gotAsg, err := s.AssignInto(rng.New(99), n, &arena)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range w {
-				if w[i] != g[i] {
-					t.Fatalf("pass %d: ring %d = %v, want %v", pass, v, g, w)
-				}
+			requireSameRings(t, gotAsg.Rings, wantAsg.Rings)
+		}
+	}
+}
+
+// TestHeterogeneousAssignIntoMixesRules covers a mixture whose classes fall
+// on both sides of the materialization rule (⌈512/64⌉ = 8: the 4-key class
+// sorts, the 8- and 30-key classes take the bitmap) against a reference
+// that replays the same draws — one label-stream seed, then one subset per
+// sensor — and sorts every ring.
+func TestHeterogeneousAssignIntoMixesRules(t *testing.T) {
+	classes := []Class{{Mu: 0.4, RingSize: 4}, {Mu: 0.3, RingSize: 8}, {Mu: 0.3, RingSize: 30}}
+	s, err := NewHeterogeneous(512, 1, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	var arena RingArena
+	got, err := s.AssignInto(rng.New(5), n, &arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(5)
+	r.Uint64() // the label sub-stream's seed
+	sampler, err := rng.NewSubsetSampler(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Ring, n)
+	for v := range want {
+		ids, err := sampler.AppendSample(r, classes[got.Labels[v]].RingSize, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v] = NewRing(ids)
+	}
+	requireSameRings(t, got.Rings, want)
+}
+
+// requireSameRings asserts ring-for-ring equality.
+func requireSameRings(t *testing.T, got, want []Ring) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d rings, want %d", len(got), len(want))
+	}
+	for v := range want {
+		w, g := want[v].IDs(), got[v].IDs()
+		if len(w) != len(g) {
+			t.Fatalf("ring %d has %d keys, want %d", v, len(g), len(w))
+		}
+		for i := range w {
+			if w[i] != g[i] {
+				t.Fatalf("ring %d = %v, want %v", v, g, w)
 			}
 		}
 	}
@@ -247,4 +361,110 @@ func BenchmarkIntersectorHasAtLeast(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(hits)/float64(b.N), "hit/op")
+}
+
+// BenchmarkAssignInto measures ring assignment — subset draws plus ring
+// materialization — for n = 100000 sensors, one op per assignment, on both
+// materialization rules: the streaming ladder's P = 512, K = 32 (bitmap)
+// and a Figure 1 point's P = 10000, K = 60 (sort).
+func BenchmarkAssignInto(b *testing.B) {
+	const n = 100_000
+	for _, c := range []struct {
+		name       string
+		pool, ring int
+	}{
+		{name: "P=512/K=32/bitmap", pool: 512, ring: 32},
+		{name: "P=10000/K=60/sort", pool: 10000, ring: 60},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := NewQComposite(c.pool, c.ring, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var arena RingArena
+			r := rng.New(3)
+			if _, err := s.AssignInto(r, n, &arena); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.AssignInto(r, n, &arena); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*c.ring), "ns/key")
+		})
+	}
+}
+
+// BenchmarkIntersectorFilterAtLeast measures the batched shared-key test of
+// the streaming Intersector path against the per-pair HasAtLeast, per pair,
+// on the n = 10⁶ ladder rung (P = 512, K = 32, q = 2: a 64 MB dense arena,
+// far past L2, so each v row is a cache miss). Pairs follow the emitters'
+// pattern — u advancing every rowPairs pairs, v uniform — in batches of 256,
+// as wsn.Deployer flushes them.
+func BenchmarkIntersectorFilterAtLeast(b *testing.B) {
+	const (
+		pool     = 512
+		ring     = 32
+		q        = 2
+		n        = 1_000_000
+		rowPairs = 186 // emitted pairs per row at p = 8·ln n/(0.594·n)
+		batch    = 256
+		recorded = 1 << 20
+	)
+	s, err := NewQComposite(pool, ring, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var arena RingArena
+	asg, err := s.AssignInto(rng.New(11), n, &arena)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := NewIntersector(pool)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ix.Reset(asg.Rings); err != nil {
+		b.Fatal(err)
+	}
+	if !ix.Dense() {
+		b.Fatal("ladder configuration should select the dense strategy")
+	}
+	r := rng.New(12)
+	pairs := make([][2]int32, recorded)
+	for i := range pairs {
+		pairs[i] = [2]int32{int32(i / rowPairs), int32(r.Uint64() % n)}
+	}
+	// run tests b.N pairs, batch by batch, cycling through the recording.
+	run := func(b *testing.B, test func(batch [][2]int32, keep []int32) []int32) {
+		keep := make([]int32, 0, batch)
+		hits := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done := 0; done < b.N; done += batch {
+			lo := done % recorded
+			m := min(batch, b.N-done, recorded-lo)
+			keep = test(pairs[lo:lo+m], keep[:0])
+			hits += len(keep)
+		}
+		b.ReportMetric(float64(hits)/float64(b.N), "hit/op")
+	}
+	b.Run("FilterAtLeast", func(b *testing.B) {
+		run(b, func(batch [][2]int32, keep []int32) []int32 {
+			return ix.FilterAtLeast(batch, q, keep)
+		})
+	})
+	b.Run("HasAtLeast", func(b *testing.B) {
+		run(b, func(batch [][2]int32, keep []int32) []int32 {
+			for i, p := range batch {
+				if ix.HasAtLeast(p[0], p[1], q) {
+					keep = append(keep, int32(i))
+				}
+			}
+			return keep
+		})
+	})
 }

@@ -9,7 +9,7 @@ import (
 
 // Server is the HTTP face of a Manager. Routes (all JSON unless noted):
 //
-//	POST /v1/jobs             submit a JobSpec → SubmitResponse (400 SpecError on bad specs; 503 + Retry-After when the queue is full or the server is draining)
+//	POST /v1/jobs             submit a JobSpec → SubmitResponse (400 SpecError on bad specs; 413 SpecError past maxSpecBytes; 503 + Retry-After when the queue is full or the server is draining)
 //	GET  /v1/jobs/{id}        job status
 //	GET  /v1/jobs/{id}/result terminal result (JSON; ?format=csv for text/csv)
 //	GET  /v1/jobs/{id}/events SSE: one progress event per change, then a terminal event
@@ -72,11 +72,22 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes bounds a submitted job spec's body. Real specs are a few
+// hundred bytes; the bound keeps one request from making the server buffer
+// an arbitrarily large document.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	var spec JobSpec
 	if err := dec.Decode(&spec); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				&SpecError{Field: "body", Msg: fmt.Sprintf("job spec exceeds %d bytes", tooLarge.Limit)})
+			return
+		}
 		writeError(w, http.StatusBadRequest, &SpecError{Field: "body", Msg: fmt.Sprintf("decoding job spec: %v", err)})
 		return
 	}

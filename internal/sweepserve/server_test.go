@@ -9,6 +9,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -490,6 +492,33 @@ func TestSpecValidation(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Errorf("unknown JSON field got status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestOversizedSpecRejected pins the body bound of POST /v1/jobs: a spec
+// past maxSpecBytes gets a 413 carrying a structured error that names the
+// body, and the server keeps accepting normal specs afterwards.
+func TestOversizedSpecRejected(t *testing.T) {
+	env := newEnv(t, sweepserve.Options{})
+	// A syntactically valid spec whose Ks axis alone is over 1 MiB.
+	body := `{"kind":"connectivity","grid":{"ks":[` + strings.Repeat("6,", 600_000) + `6]}}`
+	resp, err := env.http.Client().Post(env.http.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec got status %d, want 413", resp.StatusCode)
+	}
+	var specErr sweepserve.SpecError
+	if err := json.NewDecoder(resp.Body).Decode(&specErr); err != nil {
+		t.Fatalf("413 body is not a structured error: %v", err)
+	}
+	if specErr.Field != "body" || specErr.Msg == "" {
+		t.Errorf("413 carries %+v, want field \"body\" and a message", specErr)
+	}
+	if _, err := env.client.Submit(context.Background(), connectivitySpec([]int{6}, []float64{0.5})); err != nil {
+		t.Fatalf("normal spec after the oversized one: %v", err)
 	}
 }
 

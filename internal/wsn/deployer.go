@@ -47,10 +47,10 @@ const maxCountedOverlap = 255
 // density-adaptive keys.Intersector (bitset-backed for dense rings, sorted
 // merge for sparse ones). The streaming modes choose between the same two
 // families per deployment: a lazily rebuilt per-row count over the
-// key→holders index, or the Intersector (see useRowIndex). All strategies
-// compute the same exact predicate from the actual per-sensor rings (ring
-// sizes may differ per class), so the resulting topology is byte-identical
-// whichever runs.
+// key→holders index, or the Intersector, fed emitted pairs in batches (see
+// useRowIndex and flush). All strategies compute the same exact predicate
+// from the actual per-sensor rings (ring sizes may differ per class), so
+// the resulting topology is byte-identical whichever runs.
 type Deployer struct {
 	cfg   Config
 	arena keys.RingArena
@@ -111,6 +111,17 @@ type Deployer struct {
 	// persistent yield closure (early exit needs BOTH sinks done).
 	sd       graphalgo.StreamDegrees
 	degYield func(u, v int32) bool
+
+	// Batched Intersector path of both streaming modes (see flush):
+	// batch[:batched] holds the pairs emitted since the last flush (none
+	// between deployments: every stream ends with a flush), keep
+	// FilterAtLeast's verdicts on them; batchDegrees says whether the
+	// degree accumulator rides along. batchYield is the persistent yield.
+	batch        [streamBatch][2]int32
+	batched      int
+	keep         [streamBatch]int32
+	batchDegrees bool
+	batchYield   func(u, v int32) bool
 }
 
 // NewDeployer validates the configuration (including the channel model's

@@ -2,6 +2,7 @@ package wsn
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
@@ -54,8 +55,12 @@ func requireSameNetwork(t *testing.T, want, got *Network) {
 // dense channels at small n take the inverted-index path, near-empty
 // channels the per-edge path. The streaming modes split the same way —
 // OnOff and AlwaysOn configs on the row index, the rest on the Intersector
-// (TestDiscoveryStrategySelection pins which case takes which).
+// (TestDiscoveryStrategySelection pins which case takes which). onoff-ladder
+// is the streaming ladder's rung scaled down to n = 1000: the dense
+// Intersector, tested in batches (TestLadderBatchBoundaries pins where its
+// streams stop relative to them).
 func deployerConfigs(t *testing.T) map[string]Config {
+	const ladderSensors = 1000
 	t.Helper()
 	scheme, err := keys.NewQComposite(500, 40, 2)
 	if err != nil {
@@ -63,6 +68,10 @@ func deployerConfigs(t *testing.T) map[string]Config {
 	}
 	// The Figure 1 regime scaled down: sparse rings (P > 128·K) and q = 3.
 	q3Scheme, err := keys.NewQComposite(3000, 20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladderScheme, err := keys.NewQComposite(512, 32, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +86,10 @@ func deployerConfigs(t *testing.T) map[string]Config {
 		t.Fatal(err)
 	}
 	return map[string]Config{
-		"onoff-dense":   {Sensors: 120, Scheme: scheme, Channel: channel.OnOff{P: 0.8}},
-		"onoff-q3":      {Sensors: 200, Scheme: q3Scheme, Channel: channel.OnOff{P: 0.5}},
+		"onoff-dense": {Sensors: 120, Scheme: scheme, Channel: channel.OnOff{P: 0.8}},
+		"onoff-q3":    {Sensors: 200, Scheme: q3Scheme, Channel: channel.OnOff{P: 0.5}},
+		"onoff-ladder": {Sensors: ladderSensors, Scheme: ladderScheme,
+			Channel: channel.OnOff{P: 8 * math.Log(ladderSensors) / (0.594 * ladderSensors)}},
 		"onoff-sparse":  {Sensors: 120, Scheme: sparseScheme, Channel: channel.OnOff{P: 0.01}},
 		"always-on":     {Sensors: 80, Scheme: scheme, Channel: channel.AlwaysOn{}},
 		"disk-torus":    {Sensors: 100, Scheme: scheme, Channel: channel.Disk{Radius: 0.3, Torus: true}},
@@ -390,6 +401,7 @@ func TestDiscoveryStrategySelection(t *testing.T) {
 		"onoff-dense":   true,
 		"onoff-q3":      true,
 		"onoff-sparse":  false, // ~70 channel edges: per-edge intersection wins
+		"onoff-ladder":  false, // ~2·10⁶ index increments vs ~4.7·10⁴ 32-key ring intersections
 		"always-on":     true,
 		"onoff-all-off": false, // empty channel graph
 	}
@@ -419,6 +431,7 @@ func TestDiscoveryStrategySelection(t *testing.T) {
 		"always-on":           true,
 		"hetero-onoff":        true,
 		"onoff-sparse":        false,
+		"onoff-ladder":        false,
 		"onoff-all-off":       false,
 		"disk-torus":          false, // no closed-form pair count
 		"disk-zero":           false,
@@ -435,5 +448,15 @@ func TestDiscoveryStrategySelection(t *testing.T) {
 		if d.rowIndex != want {
 			t.Errorf("%s: streaming row index = %v, want %v", name, d.rowIndex, want)
 		}
+	}
+	d, err := NewDeployer(cfgs["onoff-ladder"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.DeployConnectivity(1); err != nil {
+		t.Fatal(err)
+	}
+	if !d.ix.Dense() {
+		t.Error("onoff-ladder: streaming Intersector is not dense")
 	}
 }

@@ -29,21 +29,24 @@ type ConnStats struct {
 
 // DeployConnectivity runs a deployment in connectivity-only mode from the
 // given seed: key rings are assigned exactly as Deploy, but the channel draw
-// is streamed edge by edge through the shared-key test (sharesQ) into a
-// union-find — no channel CSR, no secure CSR, no edge list, no link keys —
-// so memory stays O(n + ΣK) however dense the channel is. The emitter is
-// stopped as soon as one component remains (the verdict of every further
-// edge is determined), which on the connected plateau skips most of each
-// draw.
+// is streamed edge by edge through the shared-key test into a union-find —
+// no channel CSR, no secure CSR, no edge list, no link keys — so memory
+// stays O(n + ΣK) however dense the channel is. The emitter is stopped once
+// one component remains (the verdict of every further edge is determined),
+// which on the connected plateau skips most of each draw. On the row index
+// it stops at that very edge; on the Intersector, which tests emitted pairs
+// in batches of streamBatch (see flush), at the end of the batch in which
+// the verdict became final.
 //
 // Determinism: rings and channel randomness are drawn exactly as Deploy up
 // to the early exit, and the reported statistics are order-independent
-// functions of the secure edge set, so DeployConnectivity(seed) agrees with
-// the statistics of Deploy(seed) for every channel model. Because the early
-// exit leaves the remainder of the channel draw unconsumed, a generator
-// handed to DeployConnectivityRand must not be used for anything afterwards
-// within the same trial (per-trial streams, as montecarlo provides, satisfy
-// this).
+// functions of the secure edge set, final once one component remains, so
+// DeployConnectivity(seed) agrees with the statistics of Deploy(seed) for
+// every channel model. Because the early exit leaves the remainder of the
+// channel draw unconsumed (and a batch may draw past the deciding edge), a
+// generator handed to DeployConnectivityRand must not be used for anything
+// afterwards within the same trial (per-trial streams, as montecarlo
+// provides, satisfy this).
 func (d *Deployer) DeployConnectivity(seed uint64) (ConnStats, error) {
 	d.rand.Reseed(seed)
 	return d.deployConnectivity(&d.rand)
@@ -57,6 +60,7 @@ func (d *Deployer) DeployConnectivityRand(r *rng.Rand) (ConnStats, error) {
 
 func (d *Deployer) deployConnectivity(r *rng.Rand) (ConnStats, error) {
 	d.suf.Reset(d.cfg.Sensors)
+	d.batchDegrees = false
 	if d.streamYield == nil {
 		// One persistent closure: yield crosses the EdgeEmitter interface
 		// boundary, where escape analysis would heap-allocate a fresh
@@ -111,8 +115,9 @@ type DegreeStats struct {
 // degree accumulator BESIDE the union-find in the same pass. It answers the
 // paper's min-degree figures — P[min degree ≥ k] and its coupling with
 // k-connectivity — with O(n + ΣK) memory and no CSR graph at any n. The
-// emitter is stopped as soon as both sinks are done: one component remains
-// AND every sensor has reached degree k.
+// emitter is stopped once both sinks are done — one component remains AND
+// every sensor has reached degree k — at that edge on the row index, and at
+// the end of that batch on the Intersector.
 //
 // The same determinism contract as DeployConnectivity applies; all reported
 // statistics are order-independent functions of the secure edge set (which
@@ -137,6 +142,7 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 	n := d.cfg.Sensors
 	d.suf.Reset(n)
 	d.sd.Reset(n, k)
+	d.batchDegrees = true
 	if d.degYield == nil {
 		// Persistent for the same reason as streamYield; one closure serves
 		// every k because the accumulator holds the current target.
@@ -166,10 +172,12 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 
 // streamSecureEdges is the shared core of the graph-free deployment modes:
 // key predistribution, the shared-key test's setup, and the channel draw
-// streamed edge by edge into yield (which filters by sharesQ and feeds
-// whatever sinks the mode maintains). The caller resets its sinks first;
-// yield's early-exit verdict stops the emitter.
-func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) error {
+// streamed edge by edge. On the row index each edge goes to rowYield (which
+// filters by sharesQ and feeds whatever sinks the mode maintains); on the
+// Intersector to pushPair, whose flush feeds the sinks batchDegrees
+// selects. The caller resets its sinks first; the early-exit verdict stops
+// the emitter.
+func (d *Deployer) streamSecureEdges(r *rng.Rand, rowYield func(u, v int32) bool) error {
 	n := d.cfg.Sensors
 
 	// 1. Key predistribution, identical to deploy: same arena, same draws.
@@ -187,6 +195,14 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) e
 	// 2. The shared-key test, exact whichever strategy it picks.
 	if err := d.resetSharesQ(asg.Rings); err != nil {
 		return err
+	}
+	yield := rowYield
+	if !d.rowIndex {
+		if d.batchYield == nil {
+			// Persistent for the same reason as streamYield.
+			d.batchYield = d.pushPair
+		}
+		yield = d.batchYield
 	}
 
 	// 3. Stream the channel draw into the sinks. Class-aware models take
@@ -219,10 +235,55 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, yield func(u, v int32) bool) e
 			g.ForEachEdge(yield)
 		}
 	}
-	// The early exit can stop mid-row; clearing the counted row keeps rowCnt
-	// all-zero between deployments, as countPairsByRow expects.
+	// Test the last, partial batch (a no-op after an early exit, which
+	// flushed it). The early exit can stop mid-row; clearing the counted row
+	// keeps rowCnt all-zero between deployments, as countPairsByRow expects.
+	if !d.rowIndex {
+		d.flush()
+	}
 	d.clearRow()
 	return err
+}
+
+// streamBatch is how many emitted pairs the Intersector path buffers before
+// testing them in one flush. At n = 10⁶ every pair's ring row and
+// union-find slots are cache misses; a batch lets them overlap. It is small
+// enough that the pairs drawn past the early exit stay a negligible share
+// of a trial.
+const streamBatch = 256
+
+// pushPair is the Intersector path's yield: it buffers the pair and flushes
+// a full batch, reporting whether the stream should go on.
+func (d *Deployer) pushPair(u, v int32) bool {
+	d.batch[d.batched] = [2]int32{u, v}
+	d.batched++
+	if d.batched < streamBatch {
+		return true
+	}
+	return d.flush()
+}
+
+// flush tests the buffered pairs with FilterAtLeast, pushes the accepted
+// ones into the union-find (and, in degree mode, the degree accumulator),
+// empties the batch and reports whether the verdict is still open. The
+// union-find stops at the edge that connects the network, after which its
+// statistics are final; the degree accumulator takes every accepted pair,
+// and its reported statistics are final once every sensor has degree k. So
+// the pairs tested past the deciding one change no reported value.
+func (d *Deployer) flush() bool {
+	batch := d.batch[:d.batched]
+	keep := d.ix.FilterAtLeast(batch, d.streamQ, d.keep[:0])
+	d.suf.AddBatch(batch, keep)
+	more := !d.suf.Done()
+	if d.batchDegrees {
+		for _, i := range keep {
+			e := batch[i]
+			d.sd.Add(e[0], e[1])
+		}
+		more = more || !d.sd.AllAtLeastK()
+	}
+	d.batched = 0
+	return more
 }
 
 // resetSharesQ readies sharesQ for one deployment's rings: it picks the
@@ -267,15 +328,11 @@ func (d *Deployer) useRowIndex(totalKeys int) bool {
 }
 
 // sharesQ reports whether sensors u and v share at least q keys — exactly
-// Intersector.HasAtLeast — with the strategy resetSharesQ picked.
-// On the row index it answers from rowCnt, recounting when u differs from
-// the counted row. The built-in emitters walk pairs row by row, so each
-// row is counted once and rows past the early exit are never counted; any
-// other order stays exact, only slower.
+// Intersector.HasAtLeast — on the row index, answering from rowCnt and
+// recounting when u differs from the counted row. The built-in emitters
+// walk pairs row by row, so each row is counted once and rows past the
+// early exit are never counted; any other order stays exact, only slower.
 func (d *Deployer) sharesQ(u, v int32) bool {
-	if !d.rowIndex {
-		return d.ix.HasAtLeast(u, v, d.streamQ)
-	}
 	if u != d.row {
 		d.countRow(u)
 	}

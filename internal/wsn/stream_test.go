@@ -440,6 +440,118 @@ func TestStreamingStrategiesShareOneDeployer(t *testing.T) {
 	}
 }
 
+// replayStream replays the channel stream a streaming trial on cfg draws
+// at the given seed, pair by pair, and returns how many pairs the stream
+// holds and after how many of them the secure edges connect the network
+// (0 if they never do).
+func replayStream(t *testing.T, cfg Config, seed uint64) (pairs, connectedAt int) {
+	t.Helper()
+	r := rng.New(seed)
+	asg, err := cfg.Scheme.Assign(r, cfg.Sensors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := keys.NewIntersector(cfg.Scheme.PoolSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Reset(asg.Rings); err != nil {
+		t.Fatal(err)
+	}
+	var suf graphalgo.StreamUnionFind
+	suf.Reset(cfg.Sensors)
+	err = cfg.Channel.(channel.EdgeEmitter).EmitEdges(r, cfg.Sensors, func(u, v int32) bool {
+		pairs++
+		if ix.HasAtLeast(u, v, cfg.Scheme.RequiredOverlap()) {
+			suf.Add(u, v)
+			if connectedAt == 0 && suf.Done() {
+				connectedAt = pairs
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pairs, connectedAt
+}
+
+// TestLadderBatchBoundaries pins what the onoff-ladder config exercises on
+// the batched Intersector path at the seeds the equivalence tests use:
+// every connectivity trial exits early in the middle of a batch, and the
+// full streams — which a degree trial at an unreachable level consumes,
+// ending on a partial batch — are not whole batches. Those full-stream
+// degree trials must match CSR too: their degrees are exact, so a pair
+// tested twice or dropped at a batch boundary would show.
+func TestLadderBatchBoundaries(t *testing.T) {
+	cfg := deployerConfigs(t)["onoff-ladder"]
+	d, err := NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(0); seed < 4; seed++ {
+		pairs, connectedAt := replayStream(t, cfg, seed)
+		if connectedAt == 0 || connectedAt%streamBatch == 0 {
+			t.Errorf("seed %d: network connects after pair %d: want an early exit mid-batch", seed, connectedAt)
+		}
+		if pairs%streamBatch == 0 {
+			t.Errorf("seed %d: the stream holds %d pairs, a whole number of batches", seed, pairs)
+		}
+		refCfg := cfg
+		refCfg.Seed = seed
+		net, err := Deploy(refCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := cfg.Sensors // unreachable: the stream runs to its end
+		got, err := d.DeployDegreeStats(seed, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := degreeStatsOf(t, net, k); got != want {
+			t.Fatalf("seed %d k=%d: DegreeStats %+v, want %+v", seed, k, got, want)
+		}
+	}
+}
+
+// TestBatchedPathReuse runs trials that exit mid-batch on one Deployer and
+// then full-stream degree trials, each of which must equal a fresh
+// Deployer's: no pair of an earlier trial may linger in the batch.
+func TestBatchedPathReuse(t *testing.T) {
+	cfg := deployerConfigs(t)["onoff-ladder"]
+	d, err := NewDeployer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := cfg.Sensors
+	for seed := uint64(0); seed < 3; seed++ {
+		if _, err := d.DeployConnectivity(seed); err != nil {
+			t.Fatal(err)
+		}
+		if d.batched != 0 {
+			t.Fatalf("seed %d: %d pairs left in the batch after an early exit", seed, d.batched)
+		}
+		if _, err := d.DeployDegreeStats(seed+10, 2); err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.DeployDegreeStats(seed+20, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewDeployer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.DeployDegreeStats(seed+20, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("seed %d on a reused Deployer: %+v, want %+v", seed+20, got, want)
+		}
+	}
+}
+
 // TestStreamingStrategyRule pins which strategy the streaming modes pick at
 // the paper's design points, from the cost model alone (no deployment, so
 // the n = 10⁶ rung costs nothing): every Figure 1 point takes the row
