@@ -1,9 +1,10 @@
 // Benchmarks regenerating every evaluation artifact of the paper (one bench
 // per experiment E1–E8; the experiment ids are documented in the cmd/ tool
 // that produces each artifact). Each iteration performs one unit of the
-// experiment — typically "sample one topology and test the property" — so
-// ns/op measures the cost of one Monte Carlo trial and the full experiment
-// cost is trials × points × ns/op.
+// experiment — typically "deploy one topology and test the property", on
+// the wsn.Deployer mode the matching cmd tool runs — so ns/op measures the
+// cost of one Monte Carlo trial and the full experiment cost is
+// trials × points × ns/op.
 //
 // BenchmarkDeployPipeline tracks the wsn.Deployer hot path that the cmd
 // tools' sweeps run on: connectivity-only trials (no link keys derived)
@@ -27,7 +28,6 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/graphalgo"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/montecarlo"
-	"github.com/secure-wsn/qcomposite/internal/randgraph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/stats"
 	"github.com/secure-wsn/qcomposite/internal/theory"
@@ -53,22 +53,31 @@ func BenchmarkE1Figure1Trial(b *testing.B) {
 	}
 	for _, c := range curves {
 		b.Run(c.name, func(b *testing.B) {
-			s, err := randgraph.NewQSampler(1000, c.k, 10000, c.q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := rng.New(1)
+			d := benchDeployer(b, 1000, c.k, 10000, c.q, c.p)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g, err := s.SampleComposite(r, c.p)
-				if err != nil {
+				if _, err := d.DeployConnectivity(uint64(i)); err != nil {
 					b.Fatal(err)
 				}
-				_ = graphalgo.IsConnected(g)
 			}
 		})
 	}
+}
+
+// benchDeployer returns a Deployer for G_{n,q}(n, K, P, p) — q-composite
+// rings over on/off channels, the engine the cmd tools' trials run on.
+func benchDeployer(b *testing.B, n, ring, pool, q int, p float64) *wsn.Deployer {
+	b.Helper()
+	scheme, err := keys.NewQComposite(pool, ring, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := wsn.NewDeployer(wsn.Config{Sensors: n, Scheme: scheme, Channel: channel.OnOff{P: p}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
 }
 
 // BenchmarkE2KStarTable regenerates the full in-text K* table (six exact
@@ -95,19 +104,17 @@ func BenchmarkE2KStarTable(b *testing.B) {
 func BenchmarkE3Theorem1Trial(b *testing.B) {
 	for _, k := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			s, err := randgraph.NewQSampler(1000, 48, 10000, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := rng.New(2)
+			d := benchDeployer(b, 1000, 48, 10000, 2, 0.5)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g, err := s.SampleComposite(r, 0.5)
+				net, err := d.Deploy(uint64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
-				_ = graphalgo.IsKConnected(g, k)
+				if _, err := net.IsKConnected(k); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -116,29 +123,20 @@ func BenchmarkE3Theorem1Trial(b *testing.B) {
 // BenchmarkE4MinDegreeTrial measures one Lemma 8 trial: sample plus minimum
 // degree scan.
 func BenchmarkE4MinDegreeTrial(b *testing.B) {
-	s, err := randgraph.NewQSampler(1000, 48, 10000, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(3)
+	d := benchDeployer(b, 1000, 48, 10000, 2, 0.5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := s.SampleComposite(r, 0.5)
-		if err != nil {
+		if _, err := d.DeployDegreeStats(uint64(i), 2); err != nil {
 			b.Fatal(err)
 		}
-		_ = g.MinDegree() >= 2
 	}
 }
 
 // BenchmarkE5DegreeDistTrial measures one Lemma 9 trial: sample plus degree
 // histogram plus Poisson comparison.
 func BenchmarkE5DegreeDistTrial(b *testing.B) {
-	s, err := randgraph.NewQSampler(1000, 43, 10000, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := benchDeployer(b, 1000, 43, 10000, 2, 0.5)
 	tProb, err := theory.EdgeProb(10000, 43, 2, 0.5)
 	if err != nil {
 		b.Fatal(err)
@@ -147,15 +145,14 @@ func BenchmarkE5DegreeDistTrial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := rng.New(4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := s.SampleComposite(r, 0.5)
+		net, err := d.Deploy(uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		hist := g.DegreeHistogram()
+		hist := net.FullSecureTopology().DegreeHistogram()
 		count := 0
 		if len(hist) > 1 {
 			count = hist[1]
@@ -180,19 +177,17 @@ func BenchmarkE6ZeroOneTrial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := randgraph.NewQSampler(n, ring, pool, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(5)
+	d := benchDeployer(b, n, ring, pool, 2, 0.5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := s.SampleComposite(r, 0.5)
+		net, err := d.Deploy(uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = graphalgo.IsKConnected(g, k)
+		if _, err := net.IsKConnected(k); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -6,14 +6,12 @@ package qcomposite_test
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite"
 	"github.com/secure-wsn/qcomposite/internal/adversary"
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/core"
 	"github.com/secure-wsn/qcomposite/internal/experiment"
 	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/graphalgo"
@@ -85,59 +83,6 @@ func TestFigure1MiniSweep(t *testing.T) {
 	// Better channels need fewer keys.
 	if cross[1.0] >= cross[0.5] {
 		t.Errorf("crossing for p=1 (K=%d) not left of p=0.5 (K=%d)", cross[1.0], cross[0.5])
-	}
-}
-
-// TestWSNSimulatorMatchesCoreSampler checks that the full simulator
-// (keys.Assign + channel.Sample + discovery) and the fast fused sampler
-// produce topologies with matching edge statistics — two independent
-// implementations of G_{n,q}.
-func TestWSNSimulatorMatchesCoreSampler(t *testing.T) {
-	const (
-		n      = 150
-		pool   = 1000
-		ring   = 25
-		q      = 2
-		pOn    = 0.6
-		trials = 50
-	)
-	scheme, err := keys.NewQComposite(pool, ring, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	simEdges := 0
-	for seed := uint64(0); seed < trials; seed++ {
-		net, err := wsn.Deploy(wsn.Config{
-			Sensors: n, Scheme: scheme, Channel: channel.OnOff{P: pOn}, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		simEdges += net.FullSecureTopology().M()
-	}
-	m := core.Model{N: n, K: ring, P: pool, Q: q, ChannelOn: pOn}
-	r := rng.New(99)
-	coreEdges := 0
-	for i := 0; i < trials; i++ {
-		g, err := m.Sample(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coreEdges += g.M()
-	}
-	tProb, err := m.EdgeProbability()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := float64(n*(n-1)) / 2
-	wantMean := tProb * pairs
-	simMean := float64(simEdges) / trials
-	coreMean := float64(coreEdges) / trials
-	if math.Abs(simMean-wantMean) > 0.1*wantMean {
-		t.Errorf("simulator mean edges %.1f vs theory %.1f", simMean, wantMean)
-	}
-	if math.Abs(coreMean-wantMean) > 0.1*wantMean {
-		t.Errorf("core sampler mean edges %.1f vs theory %.1f", coreMean, wantMean)
 	}
 }
 

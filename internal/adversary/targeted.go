@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
@@ -60,29 +59,4 @@ func rankAliveByDegree(net *wsn.Network) ([]int32, error) {
 		return ids[i] < ids[j]
 	})
 	return ids, nil
-}
-
-// StrategyComparison pairs the outcomes of the random and the degree-targeted
-// attack at the same scale on the same network.
-type StrategyComparison struct {
-	Random   CaptureResult
-	Targeted CaptureResult
-}
-
-// CompareCaptureStrategies evaluates both attacks on the same network. The
-// random attack uses the provided generator. Expect the two compromised
-// FRACTIONS to agree within Monte Carlo noise (uniform rings mean degree
-// carries no key-material signal — see CaptureTargeted; the tests pin the
-// gap near zero). The strategies separate only when the captured sensors are
-// also removed: targeted capture fragments the surviving topology faster.
-func CompareCaptureStrategies(net *wsn.Network, r *rng.Rand, count int) (StrategyComparison, error) {
-	random, err := CaptureRandom(net, r, count)
-	if err != nil {
-		return StrategyComparison{}, err
-	}
-	targeted, err := CaptureTargeted(net, count)
-	if err != nil {
-		return StrategyComparison{}, err
-	}
-	return StrategyComparison{Random: random, Targeted: targeted}, nil
 }

@@ -120,12 +120,6 @@ func SignalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 }
 
-// Interrupted reports whether a sweep error is cancellation fallout from
-// SignalContext (rather than a genuine point failure).
-func Interrupted(err error) bool {
-	return errors.Is(err, context.Canceled)
-}
-
 // Serve runs an http.Server until ctx is cancelled (typically by
 // SignalContext), then drains it gracefully: in-flight requests get
 // drainTimeout to finish before the listener is torn down. The server's own

@@ -176,23 +176,10 @@ func HypergeomTail2(pool, ring1, ring2, q int) (float64, error) {
 	return sum, nil
 }
 
-// HypergeomMean returns E[X] = K²/P for the overlap distribution.
-func HypergeomMean(pool, ring int) float64 {
-	return HypergeomMean2(pool, ring, ring)
-}
-
 // HypergeomMean2 returns E[X] = K₁·K₂/P for the unequal-ring overlap.
 func HypergeomMean2(pool, ring1, ring2 int) float64 {
 	if pool <= 0 {
 		return 0
 	}
 	return float64(ring1) * float64(ring2) / float64(pool)
-}
-
-// LogChoose2 returns ln C(n,2) = ln(n(n−1)/2), −Inf for n < 2.
-func LogChoose2(n int) float64 {
-	if n < 2 {
-		return math.Inf(-1)
-	}
-	return math.Log(float64(n)) + math.Log(float64(n-1)) - math.Ln2
 }

@@ -235,24 +235,6 @@ func TestHypergeomTailAsymptotic(t *testing.T) {
 	}
 }
 
-func TestHypergeomMean(t *testing.T) {
-	if got := HypergeomMean(10000, 50); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("HypergeomMean = %v, want 0.25", got)
-	}
-	if got := HypergeomMean(0, 5); got != 0 {
-		t.Errorf("HypergeomMean zero pool = %v", got)
-	}
-}
-
-func TestLogChoose2(t *testing.T) {
-	if got := LogChoose2(1000); math.Abs(got-math.Log(499500)) > 1e-12 {
-		t.Errorf("LogChoose2(1000) = %v", got)
-	}
-	if got := LogChoose2(1); !math.IsInf(got, -1) {
-		t.Errorf("LogChoose2(1) = %v, want -Inf", got)
-	}
-}
-
 func TestQuickTailMonotoneInQ(t *testing.T) {
 	// P[X ≥ q] is non-increasing in q and always within [0,1].
 	f := func(poolRaw, ringRaw uint16) bool {

@@ -14,22 +14,25 @@
 //   - the design rules: the eq. (9) connectivity threshold K* and minimum
 //     ring sizes achieving a target k-connectivity probability.
 //
-// Estimates run across a worker pool with per-trial seed streams, so every
-// number is reproducible from (Model, Seed) alone.
+// Sampling and estimation run on the simulator every command uses: a
+// wsn.Deployer with the q-composite scheme and on/off channels. Estimates
+// run across a worker pool with per-trial seed streams, so every number is
+// reproducible from (Model, Seed) alone.
 package core
 
 import (
 	"context"
 	"fmt"
-	"sync"
+	"math"
 
+	"github.com/secure-wsn/qcomposite/internal/channel"
 	"github.com/secure-wsn/qcomposite/internal/graph"
-	"github.com/secure-wsn/qcomposite/internal/graphalgo"
+	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/montecarlo"
-	"github.com/secure-wsn/qcomposite/internal/randgraph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/stats"
 	"github.com/secure-wsn/qcomposite/internal/theory"
+	"github.com/secure-wsn/qcomposite/internal/wsn"
 )
 
 // Model is the parameterisation of the secure WSN graph
@@ -58,7 +61,7 @@ func (m Model) Validate() error {
 		return fmt.Errorf("core: ring size %d below overlap requirement q=%d", m.K, m.Q)
 	case m.P < m.K:
 		return fmt.Errorf("core: pool size %d below ring size %d", m.P, m.K)
-	case m.ChannelOn <= 0 || m.ChannelOn > 1:
+	case math.IsNaN(m.ChannelOn) || m.ChannelOn <= 0 || m.ChannelOn > 1:
 		return fmt.Errorf("core: channel-on probability %v outside (0,1]", m.ChannelOn)
 	}
 	return nil
@@ -133,21 +136,30 @@ func (m Model) PoissonDegreeCountMean(h int) (float64, error) {
 	return theory.PoissonNodeCountMean(m.N, t, h)
 }
 
-// NewSampler returns a reusable sampler for the model graph.
-func (m Model) NewSampler() (*randgraph.QSampler, error) {
+// deployerPool returns a wsn.DeployerPool that deploys the model graph:
+// q-composite key rings over independent on/off channels.
+func (m Model) deployerPool() (*wsn.DeployerPool, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return randgraph.NewQSampler(m.N, m.K, m.P, m.Q)
+	scheme, err := keys.NewQComposite(m.P, m.K, m.Q)
+	if err != nil {
+		return nil, err
+	}
+	return wsn.NewDeployerPool(wsn.Config{Sensors: m.N, Scheme: scheme, Channel: channel.OnOff{P: m.ChannelOn}})
 }
 
 // Sample draws one topology G_{n,q}(n, K, P, p).
 func (m Model) Sample(r *rng.Rand) (*graph.Undirected, error) {
-	s, err := m.NewSampler()
+	pool, err := m.deployerPool()
 	if err != nil {
 		return nil, err
 	}
-	return s.SampleComposite(r, m.ChannelOn)
+	net, err := pool.Get().DeployRand(r)
+	if err != nil {
+		return nil, err
+	}
+	return net.FullSecureTopology(), nil
 }
 
 // EstimateConfig controls Monte Carlo estimation.
@@ -160,47 +172,39 @@ type EstimateConfig struct {
 	Seed uint64
 }
 
-// samplerPool shares per-worker samplers across trials of one estimate to
-// avoid re-allocating the counting buffers every trial.
-type samplerPool struct {
-	pool sync.Pool
-	m    Model
-}
-
-func newSamplerPool(m Model) *samplerPool {
-	return &samplerPool{m: m}
-}
-
-func (p *samplerPool) get() (*randgraph.QSampler, error) {
-	if s, ok := p.pool.Get().(*randgraph.QSampler); ok && s != nil {
-		return s, nil
+// estimate runs cfg.Trials trials of test, each on a Deployer borrowed from
+// one pool shared by every worker.
+func (m Model) estimate(ctx context.Context, cfg EstimateConfig, test func(d *wsn.Deployer, r *rng.Rand) (bool, error)) (stats.Proportion, error) {
+	pool, err := m.deployerPool()
+	if err != nil {
+		return stats.Proportion{}, err
 	}
-	return p.m.NewSampler()
+	return montecarlo.EstimateProportion(ctx, montecarlo.Config(cfg),
+		func(trial int, r *rng.Rand) (bool, error) {
+			d := pool.Get()
+			defer pool.Put(d)
+			return test(d, r)
+		})
 }
-
-func (p *samplerPool) put(s *randgraph.QSampler) { p.pool.Put(s) }
 
 // EstimateKConnectivity estimates P[G_{n,q} is k-connected] by sampling
 // cfg.Trials topologies (the empirical quantity of the paper's Figure 1,
-// generalised to any k).
+// generalised to any k). At k = 1 each trial streams its edges into a
+// union-find instead of building the graph.
 func (m Model) EstimateKConnectivity(ctx context.Context, k int, cfg EstimateConfig) (stats.Proportion, error) {
-	if err := m.Validate(); err != nil {
-		return stats.Proportion{}, err
-	}
-	pool := newSamplerPool(m)
-	return montecarlo.EstimateProportion(ctx, montecarlo.Config(cfg),
-		func(trial int, r *rng.Rand) (bool, error) {
-			s, err := pool.get()
-			if err != nil {
-				return false, err
-			}
-			defer pool.put(s)
-			g, err := s.SampleComposite(r, m.ChannelOn)
-			if err != nil {
-				return false, err
-			}
-			return graphalgo.IsKConnected(g, k), nil
-		})
+	return m.estimate(ctx, cfg, func(d *wsn.Deployer, r *rng.Rand) (bool, error) {
+		if k == 1 {
+			st, err := d.DeployConnectivityRand(r)
+			// IsKConnected calls no graph on n ≤ 1 sensors 1-connected;
+			// the union-find calls it connected.
+			return st.Connected && m.N > 1, err
+		}
+		net, err := d.DeployRand(r)
+		if err != nil {
+			return false, err
+		}
+		return net.IsKConnected(k)
+	})
 }
 
 // EstimateConnectivity is EstimateKConnectivity with k = 1: the empirical
@@ -211,48 +215,36 @@ func (m Model) EstimateConnectivity(ctx context.Context, cfg EstimateConfig) (st
 
 // EstimateMinDegreeAtLeast estimates P[minimum degree ≥ k] (Lemma 8's
 // quantity), the upper-bounding property in the paper's proof strategy.
+// Each trial streams its edges into a degree accumulator.
 func (m Model) EstimateMinDegreeAtLeast(ctx context.Context, k int, cfg EstimateConfig) (stats.Proportion, error) {
-	if err := m.Validate(); err != nil {
-		return stats.Proportion{}, err
-	}
-	pool := newSamplerPool(m)
-	return montecarlo.EstimateProportion(ctx, montecarlo.Config(cfg),
-		func(trial int, r *rng.Rand) (bool, error) {
-			s, err := pool.get()
-			if err != nil {
-				return false, err
-			}
-			defer pool.put(s)
-			g, err := s.SampleComposite(r, m.ChannelOn)
-			if err != nil {
-				return false, err
-			}
-			return g.MinDegree() >= k, nil
-		})
+	return m.estimate(ctx, cfg, func(d *wsn.Deployer, r *rng.Rand) (bool, error) {
+		// MinDegree is min(level, true minimum degree), so it answers
+		// "≥ k" for every k, including k < 0 and n = 0.
+		st, err := d.DeployDegreeStatsRand(r, max(k, 0))
+		return st.MinDegree >= k, err
+	})
 }
 
 // DegreeCountDistribution samples the number of degree-h nodes across
 // cfg.Trials topologies and returns the per-trial counts (Lemma 9's
 // asymptotically-Poisson statistic).
 func (m Model) DegreeCountDistribution(ctx context.Context, h int, cfg EstimateConfig) ([]int, error) {
-	if err := m.Validate(); err != nil {
+	pool, err := m.deployerPool()
+	if err != nil {
 		return nil, err
 	}
 	if h < 0 {
 		return nil, fmt.Errorf("core: negative degree %d", h)
 	}
-	pool := newSamplerPool(m)
 	vals, err := montecarlo.Collect(ctx, montecarlo.Config(cfg),
 		func(trial int, r *rng.Rand) (float64, error) {
-			s, err := pool.get()
+			d := pool.Get()
+			defer pool.Put(d)
+			net, err := d.DeployRand(r)
 			if err != nil {
 				return 0, err
 			}
-			defer pool.put(s)
-			g, err := s.SampleComposite(r, m.ChannelOn)
-			if err != nil {
-				return 0, err
-			}
+			g := net.FullSecureTopology()
 			count := 0
 			for v := int32(0); int(v) < g.N(); v++ {
 				if g.Degree(v) == h {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/graphalgo"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/stats"
@@ -27,6 +28,7 @@ func TestValidate(t *testing.T) {
 		{name: "P below K", m: Model{N: 10, K: 11, P: 10, Q: 1, ChannelOn: 1}, ok: false},
 		{name: "p zero", m: Model{N: 10, K: 5, P: 10, Q: 1, ChannelOn: 0}, ok: false},
 		{name: "p above one", m: Model{N: 10, K: 5, P: 10, Q: 1, ChannelOn: 1.5}, ok: false},
+		{name: "p NaN", m: Model{N: 10, K: 5, P: 10, Q: 1, ChannelOn: math.NaN()}, ok: false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -183,7 +185,8 @@ func TestEstimateDeterminism(t *testing.T) {
 
 func TestDegreeCountDistribution(t *testing.T) {
 	m := Model{N: 300, K: 20, P: 3000, Q: 2, ChannelOn: 0.5}
-	counts, err := m.DegreeCountDistribution(context.Background(), 0, EstimateConfig{Trials: 40, Seed: 4})
+	const seed = 4
+	counts, err := m.DegreeCountDistribution(context.Background(), 0, EstimateConfig{Trials: 40, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,25 +194,86 @@ func TestDegreeCountDistribution(t *testing.T) {
 		t.Fatalf("got %d counts", len(counts))
 	}
 	// Counts must be consistent with direct sampling at the same seeds.
-	sampler, err := m.NewSampler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := sampler.SampleComposite(rng.NewStream(4, 0), m.ChannelOn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for v := int32(0); int(v) < g.N(); v++ {
-		if g.Degree(v) == 0 {
-			want++
+	for trial, got := range counts {
+		g, err := m.Sample(rng.NewStream(seed, uint64(trial)))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if counts[0] != want {
-		t.Errorf("trial-0 degree-0 count = %d, want %d (replay)", counts[0], want)
+		want := 0
+		for v := int32(0); int(v) < g.N(); v++ {
+			if g.Degree(v) == 0 {
+				want++
+			}
+		}
+		if got != want {
+			t.Errorf("trial-%d degree-0 count = %d, want %d (replay)", trial, got, want)
+		}
 	}
 	if _, err := m.DegreeCountDistribution(context.Background(), -1, EstimateConfig{Trials: 5, Seed: 1}); err == nil {
 		t.Error("negative h: want error")
+	}
+}
+
+// TestEstimatesReplaySample pins every estimator to Model.Sample: trial i of
+// an estimate must see the topology Sample draws from rng.NewStream(Seed, i),
+// whatever the worker count and whichever deployment mode the estimator
+// runs (streaming union-find, streaming degrees, or a CSR graph).
+func TestEstimatesReplaySample(t *testing.T) {
+	m := Model{N: 200, K: 28, P: 2000, Q: 2, ChannelOn: 0.6}
+	const (
+		trials = 40
+		seed   = 11
+	)
+	ctx := context.Background()
+	estimators := []struct {
+		name     string
+		estimate func(EstimateConfig) (stats.Proportion, error)
+		holds    func(g *graph.Undirected) bool
+	}{
+		{
+			name:     "connectivity",
+			estimate: func(cfg EstimateConfig) (stats.Proportion, error) { return m.EstimateConnectivity(ctx, cfg) },
+			holds:    graphalgo.IsConnected,
+		},
+		{
+			name: "2-connectivity",
+			estimate: func(cfg EstimateConfig) (stats.Proportion, error) {
+				return m.EstimateKConnectivity(ctx, 2, cfg)
+			},
+			holds: func(g *graph.Undirected) bool { return graphalgo.IsKConnected(g, 2) },
+		},
+		{
+			name: "min-degree-2",
+			estimate: func(cfg EstimateConfig) (stats.Proportion, error) {
+				return m.EstimateMinDegreeAtLeast(ctx, 2, cfg)
+			},
+			holds: func(g *graph.Undirected) bool { return g.MinDegree() >= 2 },
+		},
+	}
+	for _, e := range estimators {
+		want := 0
+		for trial := 0; trial < trials; trial++ {
+			g, err := m.Sample(rng.NewStream(seed, uint64(trial)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.holds(g) {
+				want++
+			}
+		}
+		if want == 0 || want == trials {
+			t.Fatalf("%s: replay holds in %d/%d trials; pick a model where the verdict varies", e.name, want, trials)
+		}
+		for _, workers := range []int{1, 8} {
+			got, err := e.estimate(EstimateConfig{Trials: trials, Workers: workers, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Trials != trials || got.Successes != want {
+				t.Errorf("%s, %d workers: %d/%d successes, want %d/%d (replay)",
+					e.name, workers, got.Successes, got.Trials, want, trials)
+			}
+		}
 	}
 }
 

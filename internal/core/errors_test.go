@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
 // invalidModel fails Validate (ring above pool).
@@ -32,8 +34,8 @@ func TestErrorPropagationThroughFacade(t *testing.T) {
 	if _, err := invalidModel.PoissonDegreeCountMean(0); err == nil {
 		t.Error("PoissonDegreeCountMean on invalid model: want error")
 	}
-	if _, err := invalidModel.NewSampler(); err == nil {
-		t.Error("NewSampler on invalid model: want error")
+	if _, err := invalidModel.Sample(rng.New(1)); err == nil {
+		t.Error("Sample on invalid model: want error")
 	}
 	if _, err := invalidModel.EstimateKConnectivity(ctx, 1, EstimateConfig{Trials: 5, Seed: 1}); err == nil {
 		t.Error("EstimateKConnectivity on invalid model: want error")

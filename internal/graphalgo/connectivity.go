@@ -1,10 +1,6 @@
 package graphalgo
 
-import (
-	"math"
-
-	"github.com/secure-wsn/qcomposite/internal/graph"
-)
+import "github.com/secure-wsn/qcomposite/internal/graph"
 
 // IsKConnected reports whether g is k-connected, i.e. whether its vertex
 // connectivity κ(g) is at least k. Conventions: every graph is 0-connected;
@@ -58,32 +54,4 @@ func VertexConnectivity(g *graph.Undirected) int {
 		}
 	}
 	return lo
-}
-
-// VertexDisjointPaths returns the maximum number of internally
-// vertex-disjoint paths between distinct non-adjacent nodes s and t
-// (Menger's theorem: this equals the minimum s–t vertex cut). For adjacent
-// nodes the direct edge is counted along with the disjoint paths through the
-// remaining graph. It returns math.MaxInt32-safe small ints; s == t is a
-// caller error reported as 0.
-func VertexDisjointPaths(g *graph.Undirected, s, t int32) int {
-	if s == t {
-		return 0
-	}
-	n := g.N()
-	d := newDinic(2*n, 2*n+4*g.M())
-	for v := int32(0); int(v) < n; v++ {
-		c := int32(1)
-		if v == s || v == t {
-			c = int32(math.MaxInt32) // endpoints are not internal
-		}
-		d.addArc(2*v, 2*v+1, c)
-	}
-	g.ForEachEdge(func(u, v int32) bool {
-		d.addArc(2*u+1, 2*v, 1)
-		d.addArc(2*v+1, 2*u, 1)
-		return true
-	})
-	d.reset()
-	return int(d.maxFlow(2*s+1, 2*t, -1))
 }

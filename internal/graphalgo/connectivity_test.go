@@ -275,53 +275,6 @@ func TestQuickWhitneyInequalities(t *testing.T) {
 	}
 }
 
-func TestVertexDisjointPaths(t *testing.T) {
-	g := cycleGraph(t, 6)
-	if got := VertexDisjointPaths(g, 0, 3); got != 2 {
-		t.Errorf("cycle disjoint paths = %d, want 2", got)
-	}
-	k5 := completeGraph(t, 5)
-	if got := VertexDisjointPaths(k5, 0, 1); got != 4 {
-		t.Errorf("K5 disjoint paths = %d, want 4 (edge + 3 via others)", got)
-	}
-	if got := VertexDisjointPaths(g, 2, 2); got != 0 {
-		t.Errorf("same-node disjoint paths = %d, want 0", got)
-	}
-	disc := mustGraph(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	if got := VertexDisjointPaths(disc, 0, 3); got != 0 {
-		t.Errorf("cross-component disjoint paths = %d, want 0", got)
-	}
-}
-
-func TestQuickMengerMatchesConnectivity(t *testing.T) {
-	// κ(G) = min over non-adjacent pairs of VertexDisjointPaths (when a
-	// non-adjacent pair exists).
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 3 + r.Intn(8)
-		g := gnp(nil2t(t), r, n, 0.3+r.Float64()*0.4)
-		minCut := -1
-		for u := int32(0); int(u) < n; u++ {
-			for v := u + 1; int(v) < n; v++ {
-				if g.HasEdge(u, v) {
-					continue
-				}
-				c := VertexDisjointPaths(g, u, v)
-				if minCut == -1 || c < minCut {
-					minCut = c
-				}
-			}
-		}
-		if minCut == -1 {
-			return VertexConnectivity(g) == n-1 // complete graph
-		}
-		return VertexConnectivity(g) == minCut
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkIsKConnected3Sparse500(b *testing.B) {
 	r := rand.New(rand.NewSource(11))
 	g := gnp(b, r, 500, 0.02)

@@ -49,91 +49,3 @@ func GlobalClusteringCoefficient(g *graph.Undirected) float64 {
 	}
 	return 3 * float64(TriangleCount(g)) / float64(wedges)
 }
-
-// KCore returns the maximal induced subgraph in which every node has degree
-// at least k, as an alive mask over g's nodes (all false when the k-core is
-// empty). Standard iterative peeling in O(n + m).
-func KCore(g *graph.Undirected, k int) []bool {
-	n := g.N()
-	alive := make([]bool, n)
-	deg := make([]int, n)
-	var queue []int32
-	for v := int32(0); int(v) < n; v++ {
-		alive[v] = true
-		deg[v] = g.Degree(v)
-		if deg[v] < k {
-			queue = append(queue, v)
-			alive[v] = false
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, w := range g.Neighbors(v) {
-			if !alive[w] {
-				continue
-			}
-			deg[w]--
-			if deg[w] < k {
-				alive[w] = false
-				queue = append(queue, w)
-			}
-		}
-	}
-	return alive
-}
-
-// Degeneracy returns the graph degeneracy: the largest k for which the
-// k-core is non-empty (0 for edgeless graphs).
-func Degeneracy(g *graph.Undirected) int {
-	// Peel by repeatedly removing a minimum-degree vertex; the largest
-	// minimum degree seen is the degeneracy. Bucket queue gives O(n + m).
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	deg := make([]int, n)
-	maxDeg := 0
-	for v := int32(0); int(v) < n; v++ {
-		deg[v] = g.Degree(v)
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	buckets := make([][]int32, maxDeg+1)
-	for v := int32(0); int(v) < n; v++ {
-		buckets[deg[v]] = append(buckets[deg[v]], v)
-	}
-	removed := make([]bool, n)
-	degeneracy := 0
-	cur := 0
-	for remaining := n; remaining > 0; remaining-- {
-		// Find the lowest non-empty bucket; cur only needs to back up by one
-		// per removal, keeping the scan amortised linear.
-		if cur > 0 {
-			cur--
-		}
-		for {
-			for cur <= maxDeg && len(buckets[cur]) == 0 {
-				cur++
-			}
-			v := buckets[cur][len(buckets[cur])-1]
-			buckets[cur] = buckets[cur][:len(buckets[cur])-1]
-			if removed[v] || deg[v] != cur {
-				continue // stale entry
-			}
-			if cur > degeneracy {
-				degeneracy = cur
-			}
-			removed[v] = true
-			for _, w := range g.Neighbors(v) {
-				if !removed[w] {
-					deg[w]--
-					buckets[deg[w]] = append(buckets[deg[w]], w)
-				}
-			}
-			break
-		}
-	}
-	return degeneracy
-}

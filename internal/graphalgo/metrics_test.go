@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
@@ -52,128 +51,6 @@ func TestGlobalClusteringCoefficient(t *testing.T) {
 	})
 	if got, want := GlobalClusteringCoefficient(bowtie), 0.6; math.Abs(got-want) > 1e-12 {
 		t.Errorf("bowtie clustering = %v, want %v", got, want)
-	}
-}
-
-func TestKCore(t *testing.T) {
-	// A triangle with a pendant: 2-core is the triangle.
-	g := mustGraph(t, 4, []graph.Edge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3},
-	})
-	alive := KCore(g, 2)
-	want := []bool{true, true, true, false}
-	for v := range want {
-		if alive[v] != want[v] {
-			t.Errorf("KCore(2)[%d] = %v, want %v", v, alive[v], want[v])
-		}
-	}
-	// 3-core is empty.
-	for v, a := range KCore(g, 3) {
-		if a {
-			t.Errorf("KCore(3)[%d] = true, want false", v)
-		}
-	}
-	// 0-core keeps everything.
-	for v, a := range KCore(g, 0) {
-		if !a {
-			t.Errorf("KCore(0)[%d] = false, want true", v)
-		}
-	}
-}
-
-func TestKCoreCascade(t *testing.T) {
-	// Path: peeling for k=2 cascades from both ends and empties the graph.
-	g := pathGraph(t, 6)
-	for v, a := range KCore(g, 2) {
-		if a {
-			t.Errorf("path 2-core kept node %d", v)
-		}
-	}
-}
-
-func TestDegeneracy(t *testing.T) {
-	tests := []struct {
-		name string
-		g    *graph.Undirected
-		want int
-	}{
-		{name: "edgeless", g: mustGraph(t, 4, nil), want: 0},
-		{name: "path", g: pathGraph(t, 5), want: 1},
-		{name: "cycle", g: cycleGraph(t, 8), want: 2},
-		{name: "K5", g: completeGraph(t, 5), want: 4},
-		{name: "triangle+pendant", g: mustGraph(t, 4, []graph.Edge{
-			{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3},
-		}), want: 2},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Degeneracy(tt.g); got != tt.want {
-				t.Errorf("Degeneracy = %d, want %d", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestQuickKCoreInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(30)
-		g := gnp(nil2t(t), r, n, 0.2)
-		k := r.Intn(5)
-		alive := KCore(g, k)
-		sub, _, err := graph.InducedSubgraph(g, alive)
-		if err != nil {
-			return false
-		}
-		// Everyone surviving has degree ≥ k inside the core.
-		if sub.N() > 0 && sub.MinDegree() < k {
-			return false
-		}
-		// Maximality: no discarded vertex has ≥ k alive neighbors.
-		for v := int32(0); int(v) < n; v++ {
-			if alive[v] {
-				continue
-			}
-			cnt := 0
-			for _, w := range g.Neighbors(v) {
-				if alive[w] {
-					cnt++
-				}
-			}
-			if cnt >= k {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickDegeneracyBoundsKCore(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(25)
-		g := gnp(nil2t(t), r, n, 0.3)
-		d := Degeneracy(g)
-		// d-core non-empty, (d+1)-core empty.
-		nonEmpty := false
-		for _, a := range KCore(g, d) {
-			nonEmpty = nonEmpty || a
-		}
-		if g.M() > 0 && !nonEmpty {
-			return false
-		}
-		for _, a := range KCore(g, d+1) {
-			if a {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }
 

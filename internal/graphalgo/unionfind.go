@@ -3,7 +3,7 @@
 // points), general vertex k-connectivity via Even's algorithm on top of a
 // unit-capacity Dinic max-flow with vertex splitting, exact vertex and edge
 // connectivity, and the structural metrics (degrees, triangles, clustering,
-// k-cores, diameter) used by the extension experiments.
+// diameter) used by the extension experiments.
 //
 // k-connectivity is the paper's central property: a graph is k-connected iff
 // it stays connected after removing any k−1 nodes (equivalently, by Menger's

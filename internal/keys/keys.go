@@ -195,29 +195,6 @@ type Scheme interface {
 	Assign(r *rng.Rand, n int) (Assignment, error)
 }
 
-// MeanRingSize returns the expected per-sensor ring size Σ μ_i·K_i of the
-// scheme's class mixture.
-func MeanRingSize(s Scheme) float64 {
-	mean := 0.0
-	for _, c := range s.Classes() {
-		mean += c.Mu * float64(c.RingSize)
-	}
-	return mean
-}
-
-// MinRingSize returns the smallest class ring size — the class that drives
-// the connectivity threshold in the heterogeneous analysis.
-func MinRingSize(s Scheme) int {
-	classes := s.Classes()
-	min := classes[0].RingSize
-	for _, c := range classes[1:] {
-		if c.RingSize < min {
-			min = c.RingSize
-		}
-	}
-	return min
-}
-
 // MaxRingSize returns the largest class ring size — the bound sizing
 // per-sensor buffers (broadcast frames, merge scratch).
 func MaxRingSize(s Scheme) int {
@@ -253,16 +230,6 @@ func NewQComposite(pool, ring, q int) (*QComposite, error) {
 		return nil, fmt.Errorf("keys: pool size %d below ring size %d", pool, ring)
 	}
 	return &QComposite{pool: pool, ring: ring, q: q}, nil
-}
-
-// NewEschenauerGligor returns the basic Eschenauer–Gligor scheme, the
-// q-composite scheme with q = 1 (the paper's baseline).
-func NewEschenauerGligor(pool, ring int) (*QComposite, error) {
-	s, err := NewQComposite(pool, ring, 1)
-	if err != nil {
-		return nil, fmt.Errorf("keys: eschenauer–gligor: %w", err)
-	}
-	return s, nil
 }
 
 // Name implements Scheme.

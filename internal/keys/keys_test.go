@@ -90,7 +90,7 @@ func TestNewQCompositeValidation(t *testing.T) {
 }
 
 func TestEschenauerGligorIsQ1(t *testing.T) {
-	s, err := NewEschenauerGligor(100, 10)
+	s, err := NewQComposite(100, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +99,6 @@ func TestEschenauerGligorIsQ1(t *testing.T) {
 	}
 	if s.Name() != "eschenauer-gligor" {
 		t.Errorf("Name = %q", s.Name())
-	}
-	if _, err := NewEschenauerGligor(5, 10); err == nil {
-		t.Error("invalid EG params: want error")
 	}
 }
 

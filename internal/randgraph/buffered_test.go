@@ -27,89 +27,6 @@ func sameGraph(a, b *graph.Undirected) bool {
 	return true
 }
 
-// TestQSamplerSampleIntoMatchesSample pins the builder path of the
-// q-intersection sampler against the one-shot path, on both counting
-// strategies and with composite thinning (which spends channel coins, so
-// pair emission order matters).
-func TestQSamplerSampleIntoMatchesSample(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		name := "dense"
-		if sparse {
-			name = "sparse"
-		}
-		t.Run(name, func(t *testing.T) {
-			mk := func() *QSampler {
-				s, err := NewQSampler(90, 9, 260, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sparse {
-					forceSparse(s)
-				}
-				return s
-			}
-			one, reused := mk(), mk()
-			b := graph.NewBuilder()
-			for trial := 0; trial < 6; trial++ {
-				seed := uint64(40 + trial)
-				want, err := one.Sample(rng.New(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := reused.SampleInto(rng.New(seed), b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameGraph(want, got) {
-					t.Fatalf("trial %d: SampleInto differs from Sample", trial)
-				}
-				wantC, err := one.SampleComposite(rng.New(seed^0xbeef), 0.5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotC, err := reused.SampleCompositeInto(rng.New(seed^0xbeef), 0.5, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameGraph(wantC, gotC) {
-					t.Fatalf("trial %d: SampleCompositeInto differs from SampleComposite", trial)
-				}
-			}
-		})
-	}
-}
-
-// TestSparseCompositeMatchesDense pins that the dense and per-row counting
-// strategies spend channel coins in the same (ascending pair) order, so the
-// composite draw is strategy-independent, not just the key graph.
-func TestSparseCompositeMatchesDense(t *testing.T) {
-	mk := func(sparse bool) *QSampler {
-		s, err := NewQSampler(110, 10, 280, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sparse {
-			forceSparse(s)
-		}
-		return s
-	}
-	dense, sparse := mk(false), mk(true)
-	for trial := 0; trial < 10; trial++ {
-		seed := uint64(900 + trial)
-		gd, err := dense.SampleComposite(rng.New(seed), 0.4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, err := sparse.SampleComposite(rng.New(seed), 0.4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameGraph(gd, gs) {
-			t.Fatalf("trial %d: composite draw differs between counting strategies", trial)
-		}
-	}
-}
-
 // TestAppendErdosRenyiMatchesErdosRenyi pins the append-style sampler
 // against the one-shot graph constructor, reusing one destination buffer.
 func TestAppendErdosRenyiMatchesErdosRenyi(t *testing.T) {

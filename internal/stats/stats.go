@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/secure-wsn/qcomposite/internal/combin"
 )
@@ -214,18 +213,6 @@ func PoissonPMF(lambda float64, k int) float64 {
 	return math.Exp(float64(k)*math.Log(lambda) - lambda - combin.LogFactorial(k))
 }
 
-// PoissonCDF returns P[X ≤ k] for X ~ Poisson(lambda).
-func PoissonCDF(lambda float64, k int) float64 {
-	sum := 0.0
-	for i := 0; i <= k; i++ {
-		sum += PoissonPMF(lambda, i)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
 // TotalVariation returns the total-variation distance ½·Σ|p_i − q_i|
 // between two distributions given as aligned probability slices; shorter
 // slices are implicitly zero-padded.
@@ -352,39 +339,3 @@ func (h *Histogram) Quantile(p float64) int {
 
 // Median is Quantile(0.5).
 func (h *Histogram) Median() int { return h.Quantile(0.5) }
-
-// MeanCI returns a z-score confidence interval for the mean of arbitrary
-// float observations.
-func MeanCI(xs []float64, z float64) (mean, lo, hi float64) {
-	var s Summary
-	for _, x := range xs {
-		s.Add(x)
-	}
-	se := s.StdErr()
-	return s.Mean(), s.Mean() - z*se, s.Mean() + z*se
-}
-
-// Quantiles returns the requested empirical quantiles (nearest-rank) of xs.
-// It copies and sorts internally; xs is not modified.
-func Quantiles(xs []float64, qs ...float64) []float64 {
-	if len(xs) == 0 {
-		return make([]float64, len(qs))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if q < 0 {
-			q = 0
-		}
-		if q > 1 {
-			q = 1
-		}
-		idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out[i] = sorted[idx]
-	}
-	return out
-}

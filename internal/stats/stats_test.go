@@ -143,15 +143,6 @@ func TestPoissonPMFSumsToOne(t *testing.T) {
 	}
 }
 
-func TestPoissonCDF(t *testing.T) {
-	if got := PoissonCDF(2, 0); math.Abs(got-math.Exp(-2)) > 1e-12 {
-		t.Errorf("CDF(2,0) = %v", got)
-	}
-	if got := PoissonCDF(2, 100); math.Abs(got-1) > 1e-9 {
-		t.Errorf("CDF(2,100) = %v, want ~1", got)
-	}
-}
-
 func TestTotalVariation(t *testing.T) {
 	tests := []struct {
 		name string
@@ -260,33 +251,6 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 	if len(h.Normalized()) != 0 {
 		t.Error("empty histogram Normalized should be empty")
-	}
-}
-
-func TestMeanCI(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	mean, lo, hi := MeanCI(xs, 1.96)
-	if mean != 3 {
-		t.Errorf("mean = %v", mean)
-	}
-	if lo >= mean || hi <= mean {
-		t.Errorf("CI [%v, %v] must straddle the mean", lo, hi)
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	qs := Quantiles(xs, 0, 0.5, 1)
-	if qs[0] != 1 || qs[1] != 3 || qs[2] != 5 {
-		t.Errorf("Quantiles = %v, want [1 3 5]", qs)
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("Quantiles mutated its input")
-	}
-	empty := Quantiles(nil, 0.5)
-	if len(empty) != 1 || empty[0] != 0 {
-		t.Errorf("empty Quantiles = %v", empty)
 	}
 }
 

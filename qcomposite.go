@@ -18,10 +18,11 @@
 // exact link probabilities (eqs. (3)–(5)), Theorem 1's asymptotic
 // k-connectivity probability (eqs. (6)–(8)), Monte Carlo estimation, and
 // the design rules (eq. (9) threshold K*, minimum ring size for a target
-// probability). The full substrate — graph algorithms, random-graph
-// samplers, the WSN simulator, channel models, and the node-capture
-// adversary — lives under internal/ and is exercised by the executables in
-// cmd/ and the runnable walkthroughs in examples/.
+// probability). Sampling and estimation run on the WSN simulator
+// (internal/wsn), the same engine the executables in cmd/ use. The full
+// substrate — graph algorithms, channel samplers, the simulator, and the
+// node-capture adversary — lives under internal/ and is exercised by those
+// executables and the runnable walkthroughs in examples/.
 package qcomposite
 
 import (
