@@ -40,7 +40,8 @@ func topologyFingerprint(g *graph.Undirected) uint64 {
 // consume uniform i for draw i, so these hashes are the bit-identity
 // contract: any change to the uniform→edge mapping — a reordered draw, a
 // fast-log shortcut, a flipped floor at an integer boundary — flips a hash
-// and fails this test.
+// and fails this test. Each case also pins the generator's next word after
+// the draw, so a change in how much randomness a draw consumes fails too.
 func TestSampledTopologiesPinnedPR6(t *testing.T) {
 	classLabels := func(n int) []uint8 {
 		labels := make([]uint8, n)
@@ -60,30 +61,35 @@ func TestSampledTopologiesPinnedPR6(t *testing.T) {
 		seed   uint64
 		sample func(r *rng.Rand, n int) (*graph.Undirected, error)
 		want   uint64
+		next   uint64 // the generator's next word after the draw
 	}{
-		{"onoff-sparse", 200, 1, OnOff{P: 0.05}.Sample, 0xba3fa24f5e863183},
-		{"onoff-sparse", 200, 2, OnOff{P: 0.05}.Sample, 0x27fbe6bab90f3c47},
-		{"onoff-dense", 80, 3, OnOff{P: 0.6}.Sample, 0x3dc1790bc583db79},
-		{"always-on", 50, 4, AlwaysOn{}.Sample, 0xca59d4e0cbcad20b},
-		{"disk-plane", 100, 5, Disk{Radius: 0.2}.Sample, 0x233a694a29b61582},
-		{"disk-torus", 100, 6, Disk{Radius: 0.3, Torus: true}.Sample, 0xa37fd29492a01eec},
-		{"disk-tiny-torus", 8, 7, Disk{Radius: 0.6, Torus: true}.Sample, 0xa2fab28410055a71},
-		{"hetero-single-class", 90, 8, HeterOnOff{P: [][]float64{{0.55}}}.Sample, 0x89de8d0202dddced},
+		{"onoff-sparse", 200, 1, OnOff{P: 0.05}.Sample, 0xba3fa24f5e863183, 0xc37ad23e3b838821},
+		{"onoff-sparse", 200, 2, OnOff{P: 0.05}.Sample, 0x27fbe6bab90f3c47, 0x48347f1f6e9fd5},
+		{"onoff-dense", 80, 3, OnOff{P: 0.6}.Sample, 0x3dc1790bc583db79, 0x7fd1961d30737dba},
+		{"always-on", 50, 4, AlwaysOn{}.Sample, 0xca59d4e0cbcad20b, 0xadf8773496a9b731},
+		{"disk-plane", 100, 5, Disk{Radius: 0.2}.Sample, 0x233a694a29b61582, 0x1050701e2f333474},
+		{"disk-torus", 100, 6, Disk{Radius: 0.3, Torus: true}.Sample, 0xa37fd29492a01eec, 0xa3299ff03dfeb8},
+		{"disk-tiny-torus", 8, 7, Disk{Radius: 0.6, Torus: true}.Sample, 0xa2fab28410055a71, 0x29ae2b86cc1365e5},
+		{"hetero-single-class", 90, 8, HeterOnOff{P: [][]float64{{0.55}}}.Sample, 0x89de8d0202dddced, 0xb348452410be14ee},
 		{"hetero-classes", 90, 9, func(r *rng.Rand, n int) (*graph.Undirected, error) {
 			return hetero.SampleClasses(r, n, classLabels(n))
-		}, 0x5af71eab669a9a53},
+		}, 0x5af71eab669a9a53, 0xe388aed619b7afae},
 		{"hetero-classes", 90, 10, func(r *rng.Rand, n int) (*graph.Undirected, error) {
 			return hetero.SampleClasses(r, n, classLabels(n))
-		}, 0xe907228cf6893a61},
+		}, 0xe907228cf6893a61, 0xbc94a34cb5f56308},
 	}
 	for _, tc := range cases {
-		g, err := tc.sample(rng.New(tc.seed), tc.n)
+		r := rng.New(tc.seed)
+		g, err := tc.sample(r, tc.n)
 		if err != nil {
 			t.Fatalf("%s seed=%d: %v", tc.name, tc.seed, err)
 		}
 		if got := topologyFingerprint(g); got != tc.want {
 			t.Errorf("%s seed=%d: topology fingerprint %#x, want %#x (PR 6 pinned)",
 				tc.name, tc.seed, got, tc.want)
+		}
+		if next := r.Uint64(); next != tc.next {
+			t.Errorf("%s seed=%d: next generator word %#x, want %#x", tc.name, tc.seed, next, tc.next)
 		}
 	}
 }

@@ -128,6 +128,16 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
+		"csr-intersector": func() {
+			seed++
+			net, err := ladder.Deploy(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := net.IsConnected(); err != nil {
+				t.Fatal(err)
+			}
+		},
 		"streaming-intersector": func() {
 			seed++
 			if _, err := ladder.DeployConnectivity(seed); err != nil {

@@ -104,10 +104,36 @@ func deployerConfigs(t *testing.T) map[string]Config {
 	}
 }
 
+// bruteForceSecure is the reference secure topology of cfg at seed: assign
+// rings with the scheme, draw the channel on the same generator, and keep
+// every channel pair whose rings share at least q keys.
+func bruteForceSecure(t *testing.T, cfg Config, seed uint64) *graph.Undirected {
+	t.Helper()
+	r := rng.New(seed)
+	asg, err := cfg.Scheme.Assign(r, cfg.Sensors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := cfg.Scheme.RequiredOverlap()
+	var edges []graph.Edge
+	emittedGraph(t, cfg, r, asg.Labels).ForEachEdge(func(u, v int32) bool {
+		if asg.Rings[u].SharedCount(asg.Rings[v]) >= q {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+		return true
+	})
+	g, err := graph.NewFromEdges(cfg.Sensors, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestDeployerMatchesDeploy is the central equivalence test of the lazy
 // pipeline: for every configuration and seed, Deployer.Deploy must produce
 // exactly the network the one-shot Deploy does — same secure topology, same
-// shared keys, same derived link keys.
+// shared keys, same derived link keys — and that topology must be the
+// brute-force one: every emitted channel pair tested with Ring.SharedCount.
 func TestDeployerMatchesDeploy(t *testing.T) {
 	for name, cfg := range deployerConfigs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -126,6 +152,9 @@ func TestDeployerMatchesDeploy(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameNetwork(t, want, got)
+				if !graphsEqual(bruteForceSecure(t, cfg, seed), got.FullSecureTopology()) {
+					t.Fatalf("seed %d: secure topology differs from the brute-force reference", seed)
+				}
 			}
 		})
 	}
