@@ -3,20 +3,22 @@
 // node-to-node channel is independently on with probability p (an
 // Erdős–Rényi graph on the sensors, Section II). Full visibility (always-on
 // channels) and the disk model (random geometric graph, Section IX) are
-// provided for the baseline and extension experiments.
+// provided for the baseline and extension experiments. Every model streams
+// its draw pair by pair (Model.EmitEdges); no model materializes a graph, so
+// a consumer holds only what it keeps of the pairs.
 package channel
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
-	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/randgraph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 	"github.com/secure-wsn/qcomposite/internal/theory"
 )
 
-// Model samples which node pairs have usable communication channels.
+// Model draws which node pairs have usable communication channels.
 type Model interface {
 	// Name identifies the model in reports.
 	Name() string
@@ -24,8 +26,18 @@ type Model interface {
 	// checked eagerly at construction time (wsn.NewDeployer, wsn.Deploy) so
 	// misconfigurations surface before any sampling work.
 	Validate() error
-	// Sample draws the channel graph on n nodes.
-	Sample(r *rng.Rand, n int) (*graph.Undirected, error)
+	// EmitEdges streams one channel draw on n nodes to yield, pair by pair,
+	// deterministically in r. Every built-in model yields each pair at most
+	// once, which wsn.Deployer's degree counts depend on; a third-party
+	// model must be duplicate-free too. When yield returns false the draw
+	// stops immediately and the rest of its randomness is NOT consumed:
+	// callers must only early-exit streams nothing else draws from
+	// (per-trial streams qualify). wsn.Deployer's graph-free modes stop
+	// once their verdict is final — at the deciding pair on the row-indexed
+	// shared-key test, at the end of the batch of pairs holding it on the
+	// Intersector — so a stream may be drawn up to one batch past that
+	// pair. A full deployment drains every draw.
+	EmitEdges(r *rng.Rand, n int, yield func(u, v int32) bool) error
 }
 
 // OnOff is the paper's on/off channel model: each channel is independently
@@ -50,16 +62,16 @@ func (m OnOff) Validate() error {
 	return nil
 }
 
-// Sample implements Model by drawing G(n, p).
-func (m OnOff) Sample(r *rng.Rand, n int) (*graph.Undirected, error) {
+// EmitEdges implements Model: one G(n, p) draw streamed with geometric
+// skipping.
+func (m OnOff) EmitEdges(r *rng.Rand, n int, yield func(u, v int32) bool) error {
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	g, err := randgraph.ErdosRenyi(r, n, m.P)
-	if err != nil {
-		return nil, fmt.Errorf("channel: on/off: %w", err)
+	if err := randgraph.AppendErdosRenyiStream(r, n, m.P, yield); err != nil {
+		return fmt.Errorf("channel: on/off: %w", err)
 	}
-	return g, nil
+	return nil
 }
 
 // AlwaysOn is the full-visibility model: every pair of sensors has an active
@@ -75,13 +87,19 @@ func (AlwaysOn) Name() string { return "always-on" }
 // Validate implements Model: AlwaysOn has no parameters.
 func (AlwaysOn) Validate() error { return nil }
 
-// Sample implements Model by returning the complete graph.
-func (AlwaysOn) Sample(_ *rng.Rand, n int) (*graph.Undirected, error) {
-	g, err := graph.Complete(n)
-	if err != nil {
-		return nil, fmt.Errorf("channel: always-on: %w", err)
+// EmitEdges implements Model: every pair, no randomness.
+func (AlwaysOn) EmitEdges(_ *rng.Rand, n int, yield func(u, v int32) bool) error {
+	if n < 0 {
+		return fmt.Errorf("channel: always-on: negative node count %d", n)
 	}
-	return g, nil
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if !yield(int32(u), int32(v)) {
+				return nil
+			}
+		}
+	}
+	return nil
 }
 
 // Disk is the disk model: sensors are placed uniformly at random on the unit
@@ -116,30 +134,24 @@ func (m Disk) Validate() error {
 	return nil
 }
 
-// Sample implements Model by drawing a random geometric graph.
-func (m Disk) Sample(r *rng.Rand, n int) (*graph.Undirected, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	g, _, err := randgraph.Geometric(r, n, m.Radius, randgraph.GeometricOptions{Torus: m.Torus})
-	if err != nil {
-		return nil, fmt.Errorf("channel: disk: %w", err)
-	}
-	return g, nil
-}
+// geoScratchPool shares geometric-sampling buffers (positions, cell grid)
+// across Disk.EmitEdges calls. Disk is a value-type model, so its scratch
+// cannot live on the model itself; a pool keeps steady-state sampling
+// allocation-free without coupling the model to one deployer.
+var geoScratchPool = sync.Pool{New: func() any { return new(randgraph.GeoScratch) }}
 
-// SamplePositions draws a random geometric graph and also returns sensor
-// positions, for deployments that need coordinates (visualisation, routing
-// studies).
-func (m Disk) SamplePositions(r *rng.Rand, n int) (*graph.Undirected, []randgraph.GeometricPoint, error) {
+// EmitEdges implements Model: the cell-grid walk passes in-range pairs
+// straight to yield, with pooled position/grid buffers and no edge list.
+func (m Disk) EmitEdges(r *rng.Rand, n int, yield func(u, v int32) bool) error {
 	if err := m.Validate(); err != nil {
-		return nil, nil, err
+		return err
 	}
-	g, pts, err := randgraph.Geometric(r, n, m.Radius, randgraph.GeometricOptions{Torus: m.Torus})
-	if err != nil {
-		return nil, nil, fmt.Errorf("channel: disk: %w", err)
+	sc := geoScratchPool.Get().(*randgraph.GeoScratch)
+	defer geoScratchPool.Put(sc)
+	if err := sc.EmitGeometric(r, n, m.Radius, randgraph.GeometricOptions{Torus: m.Torus}, yield); err != nil {
+		return fmt.Errorf("channel: disk: %w", err)
 	}
-	return g, pts, nil
+	return nil
 }
 
 // EquivalentOnOff returns the on/off model whose channel-on probability

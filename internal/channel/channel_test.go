@@ -10,10 +10,7 @@ import (
 
 func TestOnOffSample(t *testing.T) {
 	m := OnOff{P: 0.3}
-	g, err := m.Sample(rng.New(1), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := drawn(t, m, rng.New(1), 100)
 	if g.N() != 100 {
 		t.Errorf("N = %d", g.N())
 	}
@@ -31,23 +28,17 @@ func TestOnOffValidation(t *testing.T) {
 		if err := (OnOff{P: p}).Validate(); err == nil {
 			t.Errorf("p=%v: Validate: want error", p)
 		}
-		if _, err := (OnOff{P: p}).Sample(rng.New(1), 10); err == nil {
-			t.Errorf("p=%v: Sample: want error", p)
+		if err := (OnOff{P: p}).EmitEdges(rng.New(1), 10, acceptAll); err == nil {
+			t.Errorf("p=%v: EmitEdges: want error", p)
 		}
 	}
 	// p = 0 is the degenerate all-off network: valid, empty channel graph.
-	g, err := (OnOff{P: 0}).Sample(rng.New(1), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := drawn(t, OnOff{P: 0}, rng.New(1), 10)
 	if g.N() != 10 || g.M() != 0 {
 		t.Errorf("p=0 graph: N=%d M=%d, want N=10 M=0", g.N(), g.M())
 	}
 	// p = 1 is the full-visibility special case of on/off and is valid.
-	g, err = (OnOff{P: 1}).Sample(rng.New(1), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g = drawn(t, OnOff{P: 1}, rng.New(1), 10)
 	if g.M() != 45 {
 		t.Errorf("p=1 edges = %d, want 45", g.M())
 	}
@@ -58,11 +49,8 @@ func TestDiskValidation(t *testing.T) {
 		if err := (Disk{Radius: r}).Validate(); err == nil {
 			t.Errorf("radius=%v: Validate: want error", r)
 		}
-		if _, err := (Disk{Radius: r}).Sample(rng.New(1), 10); err == nil {
-			t.Errorf("radius=%v: Sample: want error", r)
-		}
-		if _, _, err := (Disk{Radius: r}).SamplePositions(rng.New(1), 10); err == nil {
-			t.Errorf("radius=%v: SamplePositions: want error", r)
+		if err := (Disk{Radius: r}).EmitEdges(rng.New(1), 10, acceptAll); err == nil {
+			t.Errorf("radius=%v: EmitEdges: want error", r)
 		}
 	}
 	for _, m := range []Model{OnOff{P: 0.5}, AlwaysOn{}, Disk{Radius: 0.2}} {
@@ -74,16 +62,13 @@ func TestDiskValidation(t *testing.T) {
 
 // TestDiskZeroRadius pins the degenerate-radius contract: a zero radius is a
 // valid empty channel graph, and its EquivalentOnOff (P = 0) samples an
-// equally valid empty graph instead of failing at Sample time.
+// equally valid empty graph instead of failing when drawn.
 func TestDiskZeroRadius(t *testing.T) {
 	m := Disk{Radius: 0, Torus: true}
 	if err := m.Validate(); err != nil {
 		t.Fatalf("zero radius Validate: %v", err)
 	}
-	g, err := m.Sample(rng.New(4), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := drawn(t, m, rng.New(4), 40)
 	if g.N() != 40 || g.M() != 0 {
 		t.Errorf("zero-radius graph: N=%d M=%d, want N=40 M=0", g.N(), g.M())
 	}
@@ -94,10 +79,7 @@ func TestDiskZeroRadius(t *testing.T) {
 	if err := eq.Validate(); err != nil {
 		t.Fatalf("EquivalentOnOff Validate: %v", err)
 	}
-	g, err = eq.Sample(rng.New(4), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g = drawn(t, eq, rng.New(4), 40)
 	if g.N() != 40 || g.M() != 0 {
 		t.Errorf("equivalent on/off graph: N=%d M=%d, want N=40 M=0", g.N(), g.M())
 	}
@@ -105,10 +87,7 @@ func TestDiskZeroRadius(t *testing.T) {
 
 func TestAlwaysOn(t *testing.T) {
 	m := AlwaysOn{}
-	g, err := m.Sample(rng.New(1), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := drawn(t, m, rng.New(1), 30)
 	if g.M() != 30*29/2 {
 		t.Errorf("M = %d, want %d", g.M(), 30*29/2)
 	}
@@ -119,10 +98,7 @@ func TestAlwaysOn(t *testing.T) {
 
 func TestDiskSample(t *testing.T) {
 	m := Disk{Radius: 0.2, Torus: true}
-	g, err := m.Sample(rng.New(2), 200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := drawn(t, m, rng.New(2), 200)
 	// Torus pair probability is exactly π r².
 	want := math.Pi * 0.04 * 200 * 199 / 2
 	if math.Abs(float64(g.M())-want) > 6*math.Sqrt(want)+0.05*want {
@@ -134,24 +110,8 @@ func TestDiskSample(t *testing.T) {
 	if strings.Contains((Disk{Radius: 0.1}).Name(), "torus") {
 		t.Error("non-torus Name mentions torus")
 	}
-	if _, err := (Disk{Radius: -1}).Sample(rng.New(1), 10); err == nil {
+	if err := (Disk{Radius: -1}).EmitEdges(rng.New(1), 10, acceptAll); err == nil {
 		t.Error("negative radius: want error")
-	}
-}
-
-func TestDiskSamplePositions(t *testing.T) {
-	m := Disk{Radius: 0.15}
-	g, pts, err := m.SamplePositions(rng.New(3), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 50 || g.N() != 50 {
-		t.Fatalf("positions %d, nodes %d", len(pts), g.N())
-	}
-	for i, p := range pts {
-		if p.X < 0 || p.X >= 1 || p.Y < 0 || p.Y >= 1 {
-			t.Errorf("point %d = %+v outside unit square", i, p)
-		}
 	}
 }
 

@@ -4,23 +4,24 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
-	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/randgraph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
 // ClassModel is a channel model whose link probabilities depend on the
 // sensors' classes. A deployment threads the key scheme's per-sensor class
-// labels to SampleClasses, so the scheme and channel share one
+// labels to EmitClassEdges, so the scheme and channel share one
 // deployment-level class assignment (wsn.Config validates the pairing).
 type ClassModel interface {
 	Model
 	// ClassCount returns the number of sensor classes the model expects.
 	ClassCount() int
-	// SampleClasses draws the channel graph on n nodes whose classes are
-	// given by labels (one entry per node; nil means every node is class 0).
-	SampleClasses(r *rng.Rand, n int, labels []uint8) (*graph.Undirected, error)
+	// EmitClassEdges streams one channel draw on n nodes whose classes are
+	// given by labels (one entry per node; nil means every node is class 0),
+	// under the same contract as Model.EmitEdges.
+	EmitClassEdges(r *rng.Rand, n int, labels []uint8, yield func(u, v int32) bool) error
 }
 
 // HeterOnOff is the heterogeneous on/off channel model of Eletreby and Yağan
@@ -78,7 +79,7 @@ func (m HeterOnOff) ClassCount() int { return len(m.P) }
 
 // maxClasses bounds the class count: labels travel as uint8 through
 // assignments and channel models (keys.MaxClasses), and the bucketing
-// scratch of sampleClasses is sized to it.
+// scratch of EmitClassEdges is sized to it.
 const maxClasses = 256
 
 // Validate implements Model: the matrix must be non-empty, square,
@@ -112,52 +113,10 @@ func (m HeterOnOff) Validate() error {
 	return nil
 }
 
-// Sample implements Model. Without class labels only the single-class
-// instance is well-defined (it is OnOff); multi-class instances must be
-// sampled through SampleClasses with a deployment's label assignment.
-func (m HeterOnOff) Sample(r *rng.Rand, n int) (*graph.Undirected, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if len(m.P) > 1 {
-		return nil, fmt.Errorf("channel: heterogeneous on/off with %d classes needs per-sensor labels; deploy it with a class-aware scheme", len(m.P))
-	}
-	return OnOff{P: m.P[0][0]}.Sample(r, n)
-}
-
-// SampleClasses implements ClassModel: the channel graph is the union of
-// one Erdős–Rényi block per class pair — within-class blocks G(n_i, P[i][i])
-// and cross-class bipartite blocks with probability P[i][j] — each sampled
-// with geometric skipping. Blocks are drawn in fixed (i ≤ j) order, so the
-// draw is deterministic in (r, labels).
-func (m HeterOnOff) SampleClasses(r *rng.Rand, n int, labels []uint8) (*graph.Undirected, error) {
-	return m.sampleClasses(r, n, labels, nil)
-}
-
-// SampleInto implements BufferedModel with the same single-class restriction
-// as Sample.
-func (m HeterOnOff) SampleInto(r *rng.Rand, n int, b *graph.Builder) (*graph.Undirected, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if len(m.P) > 1 {
-		return nil, fmt.Errorf("channel: heterogeneous on/off with %d classes needs per-sensor labels; deploy it with a class-aware scheme", len(m.P))
-	}
-	return OnOff{P: m.P[0][0]}.SampleInto(r, n, b)
-}
-
-// SampleClassesInto implements BufferedClassModel: byte-identical to
-// SampleClasses for the same generator state, but the class buckets, edge
-// list and CSR storage all come from the builder's reusable scratch.
-func (m HeterOnOff) SampleClassesInto(r *rng.Rand, n int, labels []uint8, b *graph.Builder) (*graph.Undirected, error) {
-	return m.sampleClasses(r, n, labels, b)
-}
-
 // bucketByClass groups the node IDs 0..n-1 by class into flat (len n) with a
 // counting sort — ascending node order within each class — and writes the
-// class offsets to off: class c occupies flat[off[c]:off[c+1]]. Shared by the
-// buffered sampling and streaming emission paths so both walk identical
-// buckets. nil labels put every node in class 0.
+// class offsets to off: class c occupies flat[off[c]:off[c+1]]. nil labels
+// put every node in class 0.
 func bucketByClass(n, classes int, labels []uint8, flat []int32, off *[257]int32) error {
 	var cnt [257]int32
 	for v := 0; v < n; v++ {
@@ -186,75 +145,73 @@ func bucketByClass(n, classes int, labels []uint8, flat []int32, off *[257]int32
 	return nil
 }
 
-// sampleClasses is the shared block-sampling core; a nil builder falls back
-// to one-shot allocation.
-func (m HeterOnOff) sampleClasses(r *rng.Rand, n int, labels []uint8, b *graph.Builder) (*graph.Undirected, error) {
+// EmitEdges implements Model. Without class labels only the single-class
+// instance is well-defined (it is OnOff); multi-class instances must be
+// drawn through EmitClassEdges with a deployment's label assignment.
+func (m HeterOnOff) EmitEdges(r *rng.Rand, n int, yield func(u, v int32) bool) error {
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return err
+	}
+	if len(m.P) > 1 {
+		return fmt.Errorf("channel: heterogeneous on/off with %d classes needs per-sensor labels; deploy it with a class-aware scheme", len(m.P))
+	}
+	return OnOff{P: m.P[0][0]}.EmitEdges(r, n, yield)
+}
+
+// classScratchPool shares the class-bucketing array across EmitClassEdges
+// calls; HeterOnOff is a value-type model, so like Disk's geometry scratch
+// the buffer lives in a pool rather than on the model.
+var classScratchPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// EmitClassEdges implements ClassModel: the channel draw is the union of one
+// Erdős–Rényi block per class pair — within-class blocks G(n_i, P[i][i])
+// and cross-class bipartite blocks with probability P[i][j] — streamed in
+// fixed (i ≤ j) order, so the draw is deterministic in (r, labels). ONE
+// skip kernel threads all blocks: block boundaries share buffered uniforms,
+// so skip i consumes uniform i across the whole draw — the alignment the
+// pinned topology fingerprints rely on. A false from yield stops the
+// current block and skips all remaining blocks.
+func (m HeterOnOff) EmitClassEdges(r *rng.Rand, n int, labels []uint8, yield func(u, v int32) bool) error {
+	if err := m.Validate(); err != nil {
+		return err
 	}
 	if n < 0 {
-		return nil, fmt.Errorf("channel: negative node count %d", n)
+		return fmt.Errorf("channel: negative node count %d", n)
 	}
 	if labels != nil && len(labels) != n {
-		return nil, fmt.Errorf("channel: %d class labels for %d nodes", len(labels), n)
+		return fmt.Errorf("channel: %d class labels for %d nodes", len(labels), n)
 	}
 	classes := len(m.P)
-	// Bucket nodes by class into one flat array with a counting sort
-	// (ascending node order within each class, matching append order), using
-	// the builder's node scratch when available. Class counts and offsets
-	// are small and live on the stack (Validate bounds classes by
-	// maxClasses = 256).
-	var flat []int32
-	if b != nil {
-		nodes := b.NodeScratch()
-		if cap(*nodes) < n {
-			*nodes = make([]int32, n)
-		}
-		*nodes = (*nodes)[:n]
-		flat = *nodes
-	} else {
-		flat = make([]int32, n)
+	buf := classScratchPool.Get().(*[]int32)
+	defer classScratchPool.Put(buf)
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
 	}
+	flat := (*buf)[:n]
 	var off [257]int32
 	if err := bucketByClass(n, classes, labels, flat, &off); err != nil {
-		return nil, err
+		return err
 	}
 	bucket := func(c int) []int32 { return flat[off[c]:off[c+1]] }
-
-	var edges []graph.Edge
-	if b != nil {
-		edges = (*b.EdgeScratch())[:0]
-	}
-	// One skip kernel threads the whole class draw: block boundaries share
-	// buffered uniforms, so skip i consumes uniform i across ALL blocks —
-	// the alignment EmitClassEdges reproduces and the pinned topology
-	// fingerprints rely on.
-	var src rng.GeometricSource
-	src.Reset(r)
-	appendEdge := func(u, v int32) bool {
-		edges = append(edges, graph.Edge{U: u, V: v})
+	stopped := false
+	wrap := func(u, v int32) bool {
+		if !yield(u, v) {
+			stopped = true
+			return false
+		}
 		return true
 	}
-	for i := 0; i < classes; i++ {
-		if err := randgraph.EmitErdosRenyiSubset(&src, bucket(i), m.P[i][i], appendEdge); err != nil {
-			return nil, fmt.Errorf("channel: heterogeneous on/off: %w", err)
+	var src rng.GeometricSource
+	src.Reset(r)
+	for i := 0; i < classes && !stopped; i++ {
+		if err := randgraph.EmitErdosRenyiSubset(&src, bucket(i), m.P[i][i], wrap); err != nil {
+			return fmt.Errorf("channel: heterogeneous on/off: %w", err)
 		}
-		for j := i + 1; j < classes; j++ {
-			if err := randgraph.EmitErdosRenyiBipartite(&src, bucket(i), bucket(j), m.P[i][j], appendEdge); err != nil {
-				return nil, fmt.Errorf("channel: heterogeneous on/off: %w", err)
+		for j := i + 1; j < classes && !stopped; j++ {
+			if err := randgraph.EmitErdosRenyiBipartite(&src, bucket(i), bucket(j), m.P[i][j], wrap); err != nil {
+				return fmt.Errorf("channel: heterogeneous on/off: %w", err)
 			}
 		}
 	}
-	var err error
-	var g *graph.Undirected
-	if b != nil {
-		*b.EdgeScratch() = edges
-		g, err = b.FromEdges(n, edges)
-	} else {
-		g, err = graph.NewFromEdges(n, edges)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("channel: heterogeneous on/off: %w", err)
-	}
-	return g, nil
+	return nil
 }

@@ -30,8 +30,9 @@ func TestHeterOnOffValidate(t *testing.T) {
 }
 
 // TestHeterOnOffOneClassMatchesOnOff pins the degenerate case: a 1-class
-// HeterOnOff must sample exactly the OnOff graph, through both Sample and
-// SampleClasses (nil labels), from the same stream.
+// HeterOnOff must draw exactly the OnOff graph, through both EmitEdges and
+// EmitClassEdges (nil labels), from the same stream, and leave the
+// generator where OnOff does.
 func TestHeterOnOffOneClassMatchesOnOff(t *testing.T) {
 	const (
 		n = 200
@@ -39,34 +40,18 @@ func TestHeterOnOffOneClassMatchesOnOff(t *testing.T) {
 	)
 	m := UniformHeterOnOff(1, p)
 	for seed := uint64(0); seed < 3; seed++ {
-		want, err := OnOff{P: p}.Sample(rng.New(seed), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.Sample(rng.New(seed), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotC, err := m.SampleClasses(rng.New(seed), n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range []interface {
-			N() int
-			M() int
-			HasEdge(u, v int32) bool
-		}{got, gotC} {
-			if g.N() != want.N() || g.M() != want.M() {
-				t.Fatalf("seed %d: %d nodes %d edges, want %d nodes %d edges",
-					seed, g.N(), g.M(), want.N(), want.M())
-			}
-		}
-		want.ForEachEdge(func(u, v int32) bool {
-			if !got.HasEdge(u, v) || !gotC.HasEdge(u, v) {
-				t.Fatalf("seed %d: edge (%d,%d) missing", seed, u, v)
-			}
-			return true
+		rw, rg, rc := rng.New(seed), rng.New(seed), rng.New(seed)
+		want := drawn(t, OnOff{P: p}, rw, n)
+		got := drawn(t, m, rg, n)
+		gotC := emittedGraph(t, n, func(yield func(u, v int32) bool) error {
+			return m.EmitClassEdges(rc, n, nil, yield)
 		})
+		if !sameGraph(want, got) || !sameGraph(want, gotC) {
+			t.Fatalf("seed %d: 1-class draw differs from OnOff", seed)
+		}
+		if next := rw.Uint64(); rg.Uint64() != next || rc.Uint64() != next {
+			t.Fatalf("seed %d: generators diverged after the draw", seed)
+		}
 	}
 }
 
@@ -80,10 +65,9 @@ func TestHeterOnOffSampleClassesBlocks(t *testing.T) {
 	for v := range labels {
 		labels[v] = uint8(v % 2)
 	}
-	g, err := m.SampleClasses(rng.New(1), n, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := emittedGraph(t, n, func(yield func(u, v int32) bool) error {
+		return m.EmitClassEdges(rng.New(1), n, labels, yield)
+	})
 	for u := int32(0); u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			same := labels[u] == labels[v]
@@ -93,16 +77,16 @@ func TestHeterOnOffSampleClassesBlocks(t *testing.T) {
 		}
 	}
 
-	// Multi-class Sample without labels is ill-defined and must error.
-	if _, err := m.Sample(rng.New(1), n); err == nil {
-		t.Error("multi-class Sample without labels accepted")
+	// A multi-class draw without labels is ill-defined and must error.
+	if err := m.EmitEdges(rng.New(1), n, acceptAll); err == nil {
+		t.Error("multi-class EmitEdges without labels accepted")
 	}
 	// Out-of-range label must error, not panic.
-	if _, err := m.SampleClasses(rng.New(1), 3, []uint8{0, 2, 0}); err == nil {
+	if err := m.EmitClassEdges(rng.New(1), 3, []uint8{0, 2, 0}, acceptAll); err == nil {
 		t.Error("out-of-range class label accepted")
 	}
 	// Label/count mismatch must error.
-	if _, err := m.SampleClasses(rng.New(1), 3, []uint8{0, 1}); err == nil {
+	if err := m.EmitClassEdges(rng.New(1), 3, []uint8{0, 1}, acceptAll); err == nil {
 		t.Error("label count mismatch accepted")
 	}
 }

@@ -24,12 +24,43 @@ func emittedGraph(t *testing.T, n int, emit func(yield func(u, v int32) bool) er
 	return g
 }
 
+// sameGraph reports byte-identical CSR contents.
+func sameGraph(a, b *graph.Undirected) bool {
+	if a.N() != b.N() || a.M() != b.M() {
+		return false
+	}
+	for v := int32(0); int(v) < a.N(); v++ {
+		na, nb := a.Neighbors(v), b.Neighbors(v)
+		if len(na) != len(nb) {
+			return false
+		}
+		for i := range na {
+			if na[i] != nb[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// drawn drains one draw of m on n nodes from r into a CSR graph.
+func drawn(t *testing.T, m Model, r *rng.Rand, n int) *graph.Undirected {
+	t.Helper()
+	return emittedGraph(t, n, func(yield func(u, v int32) bool) error {
+		return m.EmitEdges(r, n, yield)
+	})
+}
+
+// acceptAll is a yield that keeps every pair, for draws whose pairs a test
+// does not inspect.
+func acceptAll(u, v int32) bool { return true }
+
 // TestEmitEdgesDuplicateFree pins the emitter half of the streaming-degree
 // contract: every built-in emitter yields each unordered pair at most once
 // (degree counting is not idempotent), including on the tiny toroidal disk
 // grids whose aliased neighbor cells used to produce duplicates.
 func TestEmitEdgesDuplicateFree(t *testing.T) {
-	models := []EdgeEmitter{
+	models := []Model{
 		OnOff{P: 0.3},
 		AlwaysOn{},
 		Disk{Radius: 0.2},
@@ -81,87 +112,6 @@ func TestEmitEdgesDuplicateFree(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEmitEdgesMatchesSample pins the EdgeEmitter contract for every model:
-// at a fixed seed the emitted edge set merges to exactly the sampled
-// graph, and both draws consume the generator identically.
-func TestEmitEdgesMatchesSample(t *testing.T) {
-	models := []EdgeEmitter{
-		OnOff{P: 0},
-		OnOff{P: 0.15},
-		OnOff{P: 1},
-		AlwaysOn{},
-		Disk{Radius: 0.2},
-		Disk{Radius: 0.3, Torus: true},
-		Disk{Radius: 0.6, Torus: true}, // tiny grid: aliased cells, dedup path
-		Disk{Radius: 0},
-		HeterOnOff{P: [][]float64{{0.4}}},
-	}
-	for _, m := range models {
-		t.Run(m.Name(), func(t *testing.T) {
-			for trial := 0; trial < 3; trial++ {
-				seed := uint64(100 + trial)
-				for _, n := range []int{0, 1, 37, 80} {
-					rs, rd := rng.New(seed), rng.New(seed)
-					want, err := m.Sample(rs, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := emittedGraph(t, n, func(yield func(u, v int32) bool) error {
-						return m.EmitEdges(rd, n, yield)
-					})
-					if !sameGraph(want, got) {
-						t.Fatalf("seed %d n=%d: emitted graph differs from Sample", seed, n)
-					}
-					if rs.Uint64() != rd.Uint64() {
-						t.Fatalf("seed %d n=%d: generators diverged after the draw", seed, n)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestEmitClassEdgesMatchesSampleClasses pins the class-aware contract on a
-// 3-class heterogeneous channel with mixed labels, nil labels (all class 0),
-// and empty classes.
-func TestEmitClassEdgesMatchesSampleClasses(t *testing.T) {
-	m := HeterOnOff{P: [][]float64{
-		{0.9, 0.5, 0.2},
-		{0.5, 0.6, 0.4},
-		{0.2, 0.4, 0.8},
-	}}
-	const n = 90
-	labelings := map[string][]uint8{
-		"mixed":       make([]uint8, n),
-		"nil":         nil,
-		"empty-class": make([]uint8, n),
-	}
-	for i := 0; i < n; i++ {
-		labelings["mixed"][i] = uint8(i % 3)
-		labelings["empty-class"][i] = uint8(i%2) * 2 // classes {0, 2}; class 1 empty
-	}
-	for name, labels := range labelings {
-		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 3; seed++ {
-				rs, rd := rng.New(seed), rng.New(seed)
-				want, err := m.SampleClasses(rs, n, labels)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := emittedGraph(t, n, func(yield func(u, v int32) bool) error {
-					return m.EmitClassEdges(rd, n, labels, yield)
-				})
-				if !sameGraph(want, got) {
-					t.Fatalf("seed %d: emitted class graph differs from SampleClasses", seed)
-				}
-				if rs.Uint64() != rd.Uint64() {
-					t.Fatalf("seed %d: generators diverged after the draw", seed)
-				}
-			}
-		})
 	}
 }
 
@@ -222,10 +172,10 @@ func TestEmitEdgesEarlyExit(t *testing.T) {
 	}
 }
 
-// TestEmitEdgesValidation covers the streaming entry points' validation,
-// including the multi-class restriction EmitEdges shares with Sample.
+// TestEmitEdgesValidation covers the emitters' validation, including the
+// multi-class restriction of HeterOnOff.EmitEdges.
 func TestEmitEdgesValidation(t *testing.T) {
-	yield := func(u, v int32) bool { return true }
+	yield := acceptAll
 	r := rng.New(1)
 	if err := (OnOff{P: 1.5}).EmitEdges(r, 10, yield); err == nil {
 		t.Error("invalid OnOff: want error")

@@ -12,20 +12,13 @@ import (
 // Undirected header itself): a graph returned by FromEdges stays valid
 // through the next build and is invalidated by the second-next one — the same
 // lifetime contract wsn.Deployer.Deploy imposes on the networks it returns.
-//
-// A Builder also loans out generic sampling scratch (EdgeScratch,
-// NodeScratch) so stateless samplers — the channel models — can run
-// allocation-free through a caller-owned builder. A Builder is not safe for
-// concurrent use.
+// A Builder is not safe for concurrent use.
 type Builder struct {
 	deg    []int32
 	cursor []int32
 
 	arenas [2]builderArena
 	next   int // arena index the next build writes into
-
-	edges []Edge  // loaned via EdgeScratch
-	nodes []int32 // loaned via NodeScratch
 }
 
 // builderArena is one of the builder's two CSR buffers. The Undirected
@@ -41,22 +34,11 @@ type builderArena struct {
 // reused.
 func NewBuilder() *Builder { return &Builder{} }
 
-// EdgeScratch returns the builder's reusable edge buffer. Callers truncate
-// it to zero length, append the edges of the current sample, and pass it to
-// FromEdges; appending through the returned pointer persists capacity growth
-// in the builder, so steady-state sampling allocates nothing.
-func (b *Builder) EdgeScratch() *[]Edge { return &b.edges }
-
-// NodeScratch returns a reusable int32 buffer for samplers that need
-// per-node scratch (class bucketing, position grids). Same reuse discipline
-// as EdgeScratch.
-func (b *Builder) NodeScratch() *[]int32 { return &b.nodes }
-
 // FromEdges builds a graph on n nodes from the given edge list, with
 // NewFromEdges semantics: endpoints must lie in [0, n), self-loops are
 // rejected, duplicate edges (in either orientation) are merged. The returned
 // graph aliases builder storage: it remains valid until the second-next
-// FromEdges/Complete call on this builder.
+// FromEdges call on this builder.
 func (b *Builder) FromEdges(n int, edges []Edge) (*Undirected, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)
@@ -124,41 +106,6 @@ func (b *Builder) FromEdges(n int, edges []Edge) (*Undirected, error) {
 	// Shift: off[v] now holds the *start* of v's compacted list, which is the
 	// CSR convention already (off[v]..off[v+1]).
 	a.g = Undirected{n: n, m: int(w) / 2, off: off, adj: adj[:w]}
-	return &a.g, nil
-}
-
-// Complete builds the complete graph K_n directly in CSR form — no O(n²)
-// intermediate edge list; the adjacency of every node v is just the sorted
-// node set minus v. Same arena lifetime contract as FromEdges.
-func (b *Builder) Complete(n int) (*Undirected, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative node count %d", n)
-	}
-	a := &b.arenas[b.next]
-	b.next ^= 1
-	if cap(a.off) < n+1 {
-		a.off = make([]int32, n+1)
-	}
-	off := a.off[:n+1]
-	total := n * (n - 1)
-	if cap(a.adj) < total {
-		a.adj = make([]int32, total)
-	}
-	adj := a.adj[:total]
-	for v := 0; v <= n; v++ {
-		off[v] = int32(v * (n - 1))
-	}
-	for v := 0; v < n; v++ {
-		row := adj[off[v]:off[v+1]]
-		i := 0
-		for u := 0; u < n; u++ {
-			if u != v {
-				row[i] = int32(u)
-				i++
-			}
-		}
-	}
-	a.g = Undirected{n: n, m: total / 2, off: off, adj: adj}
 	return &a.g, nil
 }
 

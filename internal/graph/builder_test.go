@@ -76,9 +76,6 @@ func TestBuilderValidation(t *testing.T) {
 	if _, err := b.FromEdges(3, []Edge{{U: 1, V: 1}}); err == nil {
 		t.Error("self-loop: want error")
 	}
-	if _, err := b.Complete(-1); err == nil {
-		t.Error("negative n complete: want error")
-	}
 	// A failed build must not poison the next one.
 	g, err := b.FromEdges(2, []Edge{{U: 0, V: 1}})
 	if err != nil {
@@ -110,51 +107,25 @@ func TestBuilderDoubleBufferLifetime(t *testing.T) {
 	}
 }
 
-func TestBuilderCompleteMatchesEdgeList(t *testing.T) {
-	b := NewBuilder()
-	for _, n := range []int{0, 1, 2, 3, 7, 20} {
-		got, err := b.Complete(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var edges []Edge
-		for u := int32(0); int(u) < n; u++ {
-			for v := u + 1; int(v) < n; v++ {
-				edges = append(edges, Edge{U: u, V: v})
-			}
-		}
-		want, err := NewFromEdges(n, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameGraph(want, got) {
-			t.Errorf("n=%d: direct-CSR complete graph differs from edge-list build", n)
-		}
-		if got.M() != n*(n-1)/2 {
-			t.Errorf("n=%d: M = %d, want %d", n, got.M(), n*(n-1)/2)
-		}
-	}
-}
-
+// TestBuilderScratchReuse checks that a warmed-up builder reuses its
+// degree/cursor scratch and both CSR arenas: rebuilding graphs no larger
+// than earlier ones allocates nothing.
 func TestBuilderScratchReuse(t *testing.T) {
 	b := NewBuilder()
-	edges := b.EdgeScratch()
-	*edges = append((*edges)[:0], Edge{U: 0, V: 1}, Edge{U: 1, V: 2})
-	g, err := b.FromEdges(3, *edges)
-	if err != nil {
-		t.Fatal(err)
+	edges := []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 4}}
+	build := func() {
+		g, err := b.FromEdges(5, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.M() != 4 {
+			t.Fatalf("M = %d, want 4", g.M())
+		}
 	}
-	if g.M() != 2 {
-		t.Fatalf("M = %d, want 2", g.M())
-	}
-	// The grown capacity must persist in the builder.
-	if cap(*b.EdgeScratch()) < 2 {
-		t.Error("edge scratch capacity not retained")
-	}
-	nodes := b.NodeScratch()
-	*nodes = append((*nodes)[:0], 1, 2, 3)
-	if cap(*b.NodeScratch()) < 3 {
-		t.Error("node scratch capacity not retained")
+	build()
+	build() // both arenas grown
+	if avg := testing.AllocsPerRun(20, build); avg != 0 {
+		t.Errorf("FromEdges on a warmed-up builder: %.1f allocs/run, want 0", avg)
 	}
 }
 

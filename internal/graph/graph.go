@@ -223,9 +223,28 @@ func InducedSubgraph(g *Undirected, alive []bool) (*Undirected, []int32, error) 
 }
 
 // Complete returns the complete graph K_n, constructed directly in CSR form
-// (K_n is fully determined by n; no intermediate O(n²) edge list is built).
+// (K_n is fully determined by n; no intermediate O(n²) edge list is built):
+// the adjacency of every node v is the sorted node set minus v.
 func Complete(n int) (*Undirected, error) {
-	return NewBuilder().Complete(n)
+	if n < 0 {
+		return nil, fmt.Errorf("graph: negative node count %d", n)
+	}
+	off := make([]int32, n+1)
+	adj := make([]int32, n*(n-1))
+	for v := 0; v <= n; v++ {
+		off[v] = int32(v * (n - 1))
+	}
+	for v := 0; v < n; v++ {
+		row := adj[off[v]:off[v+1]]
+		i := 0
+		for u := 0; u < n; u++ {
+			if u != v {
+				row[i] = int32(u)
+				i++
+			}
+		}
+	}
+	return &Undirected{n: n, m: n * (n - 1) / 2, off: off, adj: adj}, nil
 }
 
 // DOT renders the graph in Graphviz DOT format, for debugging and

@@ -227,6 +227,25 @@ func TestComplete(t *testing.T) {
 	if g.Density() != 1 {
 		t.Errorf("K5 density = %v", g.Density())
 	}
+	// The direct CSR construction must equal the edge-list build.
+	for _, n := range []int{0, 1, 2, 3, 7, 20} {
+		got, err := Complete(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var edges []Edge
+		for u := int32(0); int(u) < n; u++ {
+			for v := u + 1; int(v) < n; v++ {
+				edges = append(edges, Edge{U: u, V: v})
+			}
+		}
+		if want := mustGraph(t, n, edges); !sameGraph(want, got) {
+			t.Errorf("n=%d: direct-CSR complete graph differs from edge-list build", n)
+		}
+	}
+	if _, err := Complete(-1); err == nil {
+		t.Error("negative n: want error")
+	}
 }
 
 func TestDOT(t *testing.T) {

@@ -120,7 +120,11 @@ func TestStreamDegreesEdgeCases(t *testing.T) {
 // 0-allocs/op deployment gate builds on.
 func TestStreamDegreesAllocFree(t *testing.T) {
 	var sd StreamDegrees
-	edges, err := randgraph.AppendErdosRenyi(rng.New(4), 40, 0.25, make([]graph.Edge, 0, 200))
+	var edges []graph.Edge
+	err := randgraph.AppendErdosRenyiStream(rng.New(4), 40, 0.25, func(u, v int32) bool {
+		edges = append(edges, graph.Edge{U: u, V: v})
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

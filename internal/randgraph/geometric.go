@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
@@ -36,31 +35,13 @@ type GeoScratch struct {
 	cellItems []int32   // node ids grouped by cell, ascending within a cell
 }
 
-// Points returns the node positions of the most recent draw, valid until the
-// next draw through this scratch.
-func (sc *GeoScratch) Points() []GeometricPoint { return sc.pts }
-
-// AppendGeometric appends the edges of one random geometric graph draw to
-// dst and returns the extended slice: n nodes uniform on the unit square, an
-// edge wherever the (optionally toroidal) Euclidean distance is at most
-// radius. It consumes randomness exactly as Geometric does; positions are
-// available from sc.Points afterwards. A cell grid makes the expected cost
-// O(n + m). It is the appending form of EmitGeometric.
-func (sc *GeoScratch) AppendGeometric(r *rng.Rand, n int, radius float64, opts GeometricOptions, dst []graph.Edge) ([]graph.Edge, error) {
-	err := sc.EmitGeometric(r, n, radius, opts, func(u, v int32) bool {
-		dst = append(dst, graph.Edge{U: u, V: v})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// EmitGeometric streams one random geometric graph draw edge by edge: all n
-// positions are drawn up front in one batched FillFloat64 (randomness is
-// consumed exactly as the per-coordinate draws were — X then Y per node in
-// index order; the cell-grid walk itself spends no randomness), then the
+// EmitGeometric streams one random geometric graph draw edge by edge: n
+// nodes uniform on the unit square, an edge wherever the (optionally
+// toroidal) Euclidean distance is at most radius; a cell grid makes the
+// expected cost O(n + m). All n positions are drawn up front in one batched FillFloat64
+// (randomness is consumed exactly as the per-coordinate draws were — X then
+// Y per node in index order; the cell-grid walk itself spends no
+// randomness), then the
 // 3×3 neighborhood walk passes each in-range pair directly to yield until
 // it returns false. Every pair is yielded at most once: on tiny toroidal
 // grids, where wraparound aliases neighbor cells, the walk deduplicates the
@@ -211,21 +192,4 @@ func growInt32(buf []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return buf[:n]
-}
-
-// Geometric samples a random geometric graph as a one-shot: n nodes uniform
-// on the unit square, an edge wherever the (optionally toroidal) Euclidean
-// distance is at most radius. It also returns the sampled positions. See
-// GeoScratch.AppendGeometric for the buffer-reusing form.
-func Geometric(r *rng.Rand, n int, radius float64, opts GeometricOptions) (*graph.Undirected, []GeometricPoint, error) {
-	var sc GeoScratch
-	edges, err := sc.AppendGeometric(r, n, radius, opts, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := graph.NewFromEdges(n, edges)
-	if err != nil {
-		return nil, nil, fmt.Errorf("randgraph: geometric graph: %w", err)
-	}
-	return g, sc.Points(), nil
 }

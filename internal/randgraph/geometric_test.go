@@ -4,15 +4,35 @@ import (
 	"math"
 	"testing"
 
+	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
+// geometric draws one random geometric graph through a fresh GeoScratch and
+// returns it with the sampled positions.
+func geometric(r *rng.Rand, n int, radius float64, opts GeometricOptions) (*graph.Undirected, []GeometricPoint, error) {
+	var sc GeoScratch
+	var edges []graph.Edge
+	err := sc.EmitGeometric(r, n, radius, opts, func(u, v int32) bool {
+		edges = append(edges, graph.Edge{U: u, V: v})
+		return true
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := graph.NewFromEdges(n, edges)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, sc.pts, nil
+}
+
 func TestGeometricValidation(t *testing.T) {
 	r := rng.New(1)
-	if _, _, err := Geometric(r, -1, 0.1, GeometricOptions{}); err == nil {
+	if _, _, err := geometric(r, -1, 0.1, GeometricOptions{}); err == nil {
 		t.Error("negative n: want error")
 	}
-	if _, _, err := Geometric(r, 10, -0.1, GeometricOptions{}); err == nil {
+	if _, _, err := geometric(r, 10, -0.1, GeometricOptions{}); err == nil {
 		t.Error("negative radius: want error")
 	}
 }
@@ -23,7 +43,7 @@ func TestGeometricEdgesMatchDistances(t *testing.T) {
 	for _, torus := range []bool{false, true} {
 		r := rng.New(21)
 		for _, radius := range []float64{0, 0.05, 0.2, 0.45, 0.8} {
-			g, pts, err := Geometric(r, 80, radius, GeometricOptions{Torus: torus})
+			g, pts, err := geometric(r, 80, radius, GeometricOptions{Torus: torus})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +82,7 @@ func TestGeometricTorusEdgeProbability(t *testing.T) {
 	r := rng.New(22)
 	edges := 0
 	for i := 0; i < trials; i++ {
-		g, _, err := Geometric(r, n, radius, GeometricOptions{Torus: true})
+		g, _, err := geometric(r, n, radius, GeometricOptions{Torus: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +102,11 @@ func TestGeometricSquareHasFewerEdgesThanTorus(t *testing.T) {
 	rSq, rTo := rng.New(23), rng.New(23)
 	sq, to := 0, 0
 	for i := 0; i < trials; i++ {
-		g1, _, err := Geometric(rSq, 60, 0.2, GeometricOptions{})
+		g1, _, err := geometric(rSq, 60, 0.2, GeometricOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, _, err := Geometric(rTo, 60, 0.2, GeometricOptions{Torus: true})
+		g2, _, err := geometric(rTo, 60, 0.2, GeometricOptions{Torus: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,11 +119,11 @@ func TestGeometricSquareHasFewerEdgesThanTorus(t *testing.T) {
 }
 
 func TestGeometricDeterminismAndPoints(t *testing.T) {
-	g1, pts1, err := Geometric(rng.New(24), 50, 0.15, GeometricOptions{Torus: true})
+	g1, pts1, err := geometric(rng.New(24), 50, 0.15, GeometricOptions{Torus: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, pts2, err := Geometric(rng.New(24), 50, 0.15, GeometricOptions{Torus: true})
+	g2, pts2, err := geometric(rng.New(24), 50, 0.15, GeometricOptions{Torus: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +141,7 @@ func TestGeometricDeterminismAndPoints(t *testing.T) {
 }
 
 func TestGeometricZeroRadius(t *testing.T) {
-	g, _, err := Geometric(rng.New(25), 100, 0, GeometricOptions{})
+	g, _, err := geometric(rng.New(25), 100, 0, GeometricOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +154,7 @@ func BenchmarkGeometric1000(b *testing.B) {
 	r := rng.New(26)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Geometric(r, 1000, 0.05, GeometricOptions{Torus: true}); err != nil {
+		if _, _, err := geometric(r, 1000, 0.05, GeometricOptions{Torus: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,9 +2,10 @@
 // the paper's proofs are built from:
 //
 //   - Erdős–Rényi graphs G(n, p) — the on/off channel model (Section II) —
-//     whole, over node subsets and between node blocks, appended or
+//     whole, over node subsets and between node blocks, streamed edge by
+//     edge (ErdosRenyi also collects a whole draw into a graph);
+//   - random geometric graphs (the disk model discussed in Section IX),
 //     streamed edge by edge;
-//   - random geometric graphs (the disk model discussed in Section IX);
 //   - the Lemma 5 coupling of a binomial q-intersection graph H_q(n, x, P)
 //     inside a uniform one G_q(n, K, P) (SampleCoupled).
 //
@@ -21,26 +22,11 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
-// AppendErdosRenyi appends the edges of one G(n, p) draw to dst and returns
-// the extended slice: each of the C(n,2) possible edges is present
-// independently with probability p. Pairs are enumerated in lexicographic
-// order and skipped geometrically, so the cost is O(n + E[m]) rather than
-// O(n²). Pass a reused buffer (e.g. a graph.Builder's EdgeScratch) to keep
-// Monte Carlo loops allocation-free; the draw consumes randomness exactly as
-// ErdosRenyi does. It is the appending form of AppendErdosRenyiStream.
-func AppendErdosRenyi(r *rng.Rand, n int, p float64, dst []graph.Edge) ([]graph.Edge, error) {
-	err := AppendErdosRenyiStream(r, n, p, func(u, v int32) bool {
-		dst = append(dst, graph.Edge{U: u, V: v})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// ErdosRenyi samples G(n, p) as a one-shot graph; see AppendErdosRenyi for
-// the buffer-reusing form.
+// ErdosRenyi samples G(n, p) as a one-shot graph: each of the C(n,2)
+// possible edges is present independently with probability p. Pairs are
+// enumerated in lexicographic order and skipped geometrically, so the cost
+// is O(n + E[m]) rather than O(n²). AppendErdosRenyiStream is the
+// allocation-free streaming form of the same draw.
 func ErdosRenyi(r *rng.Rand, n int, p float64) (*graph.Undirected, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("randgraph: negative node count %d", n)
@@ -53,7 +39,10 @@ func ErdosRenyi(r *rng.Rand, n int, p float64) (*graph.Undirected, error) {
 		expected := p * float64(n) * float64(n-1) / 2
 		edges = make([]graph.Edge, 0, int(expected)+16)
 	}
-	edges, err := AppendErdosRenyi(r, n, p, edges)
+	err := AppendErdosRenyiStream(r, n, p, func(u, v int32) bool {
+		edges = append(edges, graph.Edge{U: u, V: v})
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}

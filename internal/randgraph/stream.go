@@ -7,23 +7,19 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
 
-// Streaming edge enumeration: push-style duals of the Append* samplers,
-// running on the batched rng.GeometricSource skip kernel. Each Emit/Stream
-// function drives the exact same skip-distance walk as its appending
-// counterpart — skip i consumes uniform i, so at a fixed generator state the
-// yielded edge sequence equals the appended one — but edges flow to a
-// callback instead of a buffer, so a consumer (e.g. a union-find
-// connectivity trial) never materializes the edge list.
+// Streaming edge enumeration on the batched rng.GeometricSource skip
+// kernel: skip i consumes uniform i, and edges flow to a callback instead of
+// a buffer, so a consumer (e.g. a union-find connectivity trial) never
+// materializes the edge list.
 //
 // Randomness discipline: the kernel refills its uniform buffer in batches,
 // so after any draw (early-exited or fully drained) the underlying generator
 // parks at the next batch boundary rather than at the last uniform used.
-// Both duals of every sampler share the kernel and therefore stay
-// state-identical to each other, but callers sharing a generator across a
-// draw and later consumers must treat the whole draw as one randomness
-// commitment (per-trial streams, as montecarlo hands out, satisfy this
-// trivially). When yield returns false the enumeration stops immediately and
-// no further skips are consumed from the buffer.
+// Callers sharing a generator across a draw and later consumers must treat
+// the whole draw as one randomness commitment (per-trial streams, as
+// montecarlo hands out, satisfy this trivially). When yield returns false
+// the enumeration stops immediately and no further skips are consumed from
+// the buffer.
 
 // EmitErdosRenyi streams one G(n, p) draw edge by edge through the given
 // skip kernel: each of the C(n,2) possible edges is present independently
@@ -83,10 +79,8 @@ func EmitErdosRenyi(src *rng.GeometricSource, n int, p float64, yield func(u, v 
 	}
 }
 
-// AppendErdosRenyiStream is EmitErdosRenyi on a private kernel over r: the
-// classic push-style dual of AppendErdosRenyi, consuming r's uniforms draw
-// for draw. The name keeps the Append* family prefix: it is AppendErdosRenyi
-// with the append replaced by a callback.
+// AppendErdosRenyiStream is EmitErdosRenyi on a private kernel over r: one
+// G(n, p) draw streamed to yield, the draw ErdosRenyi collects into a graph.
 func AppendErdosRenyiStream(r *rng.Rand, n int, p float64, yield func(u, v int32) bool) error {
 	var src rng.GeometricSource
 	src.Reset(r)
@@ -143,14 +137,6 @@ func EmitErdosRenyiSubset(src *rng.GeometricSource, nodes []int32, p float64, yi
 	}
 }
 
-// AppendErdosRenyiSubsetStream is EmitErdosRenyiSubset on a private kernel
-// over r, consuming randomness exactly as AppendErdosRenyiSubset.
-func AppendErdosRenyiSubsetStream(r *rng.Rand, nodes []int32, p float64, yield func(u, v int32) bool) error {
-	var src rng.GeometricSource
-	src.Reset(r)
-	return EmitErdosRenyiSubset(&src, nodes, p, yield)
-}
-
 // EmitErdosRenyiBipartite streams independent Bernoulli(p) edges between
 // every pair (a[i], b[j]) through the given skip kernel. The two sides must
 // be disjoint. See EmitErdosRenyi for the kernel-sharing contract.
@@ -189,12 +175,4 @@ func EmitErdosRenyiBipartite(src *rng.GeometricSource, a, b []int32, p float64, 
 			return nil
 		}
 	}
-}
-
-// AppendErdosRenyiBipartiteStream is EmitErdosRenyiBipartite on a private
-// kernel over r, consuming randomness exactly as AppendErdosRenyiBipartite.
-func AppendErdosRenyiBipartiteStream(r *rng.Rand, a, b []int32, p float64, yield func(u, v int32) bool) error {
-	var src rng.GeometricSource
-	src.Reset(r)
-	return EmitErdosRenyiBipartite(&src, a, b, p, yield)
 }

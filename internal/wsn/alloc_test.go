@@ -5,71 +5,8 @@ import (
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/keys"
-	"github.com/secure-wsn/qcomposite/internal/rng"
 )
-
-// unbufferedChannel hides a model's BufferedModel/BufferedClassModel
-// methods behind a plain Model interface, forcing the Deployer onto the
-// allocating Sample path.
-type unbufferedChannel struct{ m channel.Model }
-
-func (u unbufferedChannel) Name() string    { return u.m.Name() }
-func (u unbufferedChannel) Validate() error { return u.m.Validate() }
-func (u unbufferedChannel) Sample(r *rng.Rand, n int) (*graph.Undirected, error) {
-	return u.m.Sample(r, n)
-}
-
-// unbufferedClassChannel is the ClassModel analogue.
-type unbufferedClassChannel struct{ m channel.ClassModel }
-
-func (u unbufferedClassChannel) Name() string    { return u.m.Name() }
-func (u unbufferedClassChannel) Validate() error { return u.m.Validate() }
-func (u unbufferedClassChannel) ClassCount() int { return u.m.ClassCount() }
-func (u unbufferedClassChannel) Sample(r *rng.Rand, n int) (*graph.Undirected, error) {
-	return u.m.Sample(r, n)
-}
-func (u unbufferedClassChannel) SampleClasses(r *rng.Rand, n int, labels []uint8) (*graph.Undirected, error) {
-	return u.m.SampleClasses(r, n, labels)
-}
-
-// TestBufferedDeploymentMatchesUnbuffered pins the tentpole equivalence: a
-// Deployer running the buffered channel/builder/workspace path must produce
-// byte-identical networks — secure topology, channel topology, shared keys
-// and derived link keys — to one whose channel model only offers the
-// allocating Sample path, for every configuration and across reuse.
-func TestBufferedDeploymentMatchesUnbuffered(t *testing.T) {
-	for name, cfg := range deployerConfigs(t) {
-		t.Run(name, func(t *testing.T) {
-			unbufCfg := cfg
-			if cm, ok := cfg.Channel.(channel.ClassModel); ok {
-				unbufCfg.Channel = unbufferedClassChannel{m: cm}
-			} else {
-				unbufCfg.Channel = unbufferedChannel{m: cfg.Channel}
-			}
-			buffered, err := NewDeployer(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			unbuffered, err := NewDeployer(unbufCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for seed := uint64(1); seed <= 3; seed++ {
-				want, err := unbuffered.Deploy(seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := buffered.Deploy(seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameNetwork(t, want, got)
-			}
-		})
-	}
-}
 
 // TestConnectivityTrialAllocBudget is the alloc-budget regression gate on
 // the connectivity trial loops (the BenchmarkDeployPipeline hot paths):
@@ -78,11 +15,11 @@ func TestBufferedDeploymentMatchesUnbuffered(t *testing.T) {
 // removed its last allocation, the per-Deploy generator; the seed state ran
 // it at ≈ 2,020 allocs per trial), on the streaming path
 // (DeployConnectivity, whose persistent yield closure keeps the
-// EdgeEmitter interface crossing allocation-free), and on the streaming
+// channel.Model interface crossing allocation-free), and on the streaming
 // degree path (DeployDegreeStats, same closure discipline with the degree
 // accumulator riding beside the union-find). The Figure 1 point takes the
-// streaming row index; a ladder-rung density (sparse channel) keeps both
-// streaming modes on the Intersector, so each strategy is gated.
+// row index; a ladder-rung density (sparse channel) keeps every mode on the
+// batched Intersector, so each strategy is gated on every sink.
 func TestConnectivityTrialAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs the full n=1000 deployment")

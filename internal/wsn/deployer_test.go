@@ -3,6 +3,7 @@ package wsn
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
@@ -19,14 +20,14 @@ func graphsEqual(a, b *graph.Undirected) bool {
 }
 
 // requireSameNetwork asserts byte-identical secure topology, channel
-// topology, shared keys and link keys between two deployments.
+// degrees, shared keys and link keys between two deployments.
 func requireSameNetwork(t *testing.T, want, got *Network) {
 	t.Helper()
 	if !graphsEqual(want.FullSecureTopology(), got.FullSecureTopology()) {
 		t.Fatal("secure topologies differ")
 	}
-	if !graphsEqual(want.ChannelTopology(), got.ChannelTopology()) {
-		t.Fatal("channel topologies differ")
+	if !slices.Equal(want.chanDeg, got.chanDeg) {
+		t.Fatal("channel degrees differ")
 	}
 	wantLinks, gotLinks := want.Links(), got.Links()
 	if len(wantLinks) != len(gotLinks) {
@@ -51,14 +52,12 @@ func requireSameNetwork(t *testing.T, want, got *Network) {
 	}
 }
 
-// deployerConfigs covers both discovery strategies and all channel models:
-// dense channels at small n take the inverted-index path, near-empty
-// channels the per-edge path. The streaming modes split the same way —
-// OnOff and AlwaysOn configs on the row index, the rest on the Intersector
-// (TestDiscoveryStrategySelection pins which case takes which). onoff-ladder
-// is the streaming ladder's rung scaled down to n = 1000: the dense
-// Intersector, tested in batches (TestLadderBatchBoundaries pins where its
-// streams stop relative to them).
+// deployerConfigs covers both shared-key strategies and all channel
+// models: dense channels take the row index, near-empty ones the batched
+// Intersector (TestDiscoveryStrategySelection pins which case takes which).
+// onoff-ladder is the streaming ladder's rung scaled down to n = 1000: the
+// dense Intersector, tested in batches (TestLadderBatchBoundaries pins where
+// its streams stop relative to them).
 func deployerConfigs(t *testing.T) map[string]Config {
 	const ladderSensors = 1000
 	t.Helper()
@@ -104,19 +103,27 @@ func deployerConfigs(t *testing.T) map[string]Config {
 	}
 }
 
-// bruteForceSecure is the reference secure topology of cfg at seed: assign
-// rings with the scheme, draw the channel on the same generator, and keep
-// every channel pair whose rings share at least q keys.
-func bruteForceSecure(t *testing.T, cfg Config, seed uint64) *graph.Undirected {
+// referenceDraw replays cfg's deployment at seed without a Deployer:
+// assign rings with the scheme, then draw the channel on the same
+// generator.
+func referenceDraw(t *testing.T, cfg Config, seed uint64) (keys.Assignment, *graph.Undirected) {
 	t.Helper()
 	r := rng.New(seed)
 	asg, err := cfg.Scheme.Assign(r, cfg.Sensors)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return asg, emittedGraph(t, cfg, r, asg.Labels)
+}
+
+// bruteForceSecure is the reference secure topology of cfg at seed: every
+// pair of the reference channel draw whose rings share at least q keys.
+func bruteForceSecure(t *testing.T, cfg Config, seed uint64) *graph.Undirected {
+	t.Helper()
+	asg, channels := referenceDraw(t, cfg, seed)
 	q := cfg.Scheme.RequiredOverlap()
 	var edges []graph.Edge
-	emittedGraph(t, cfg, r, asg.Labels).ForEachEdge(func(u, v int32) bool {
+	channels.ForEachEdge(func(u, v int32) bool {
 		if asg.Rings[u].SharedCount(asg.Rings[v]) >= q {
 			edges = append(edges, graph.Edge{U: u, V: v})
 		}
@@ -134,6 +141,7 @@ func bruteForceSecure(t *testing.T, cfg Config, seed uint64) *graph.Undirected {
 // exactly the network the one-shot Deploy does — same secure topology, same
 // shared keys, same derived link keys — and that topology must be the
 // brute-force one: every emitted channel pair tested with Ring.SharedCount.
+// The channel degrees the deployment counted must be the emitted graph's.
 func TestDeployerMatchesDeploy(t *testing.T) {
 	for name, cfg := range deployerConfigs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -154,6 +162,12 @@ func TestDeployerMatchesDeploy(t *testing.T) {
 				requireSameNetwork(t, want, got)
 				if !graphsEqual(bruteForceSecure(t, cfg, seed), got.FullSecureTopology()) {
 					t.Fatalf("seed %d: secure topology differs from the brute-force reference", seed)
+				}
+				_, channels := referenceDraw(t, cfg, seed)
+				for v, deg := range got.chanDeg {
+					if int(deg) != channels.Degree(int32(v)) {
+						t.Fatalf("seed %d: sensor %d channel degree %d, want %d", seed, v, deg, channels.Degree(int32(v)))
+					}
 				}
 			}
 		})
@@ -287,63 +301,6 @@ func TestDeployerPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestSparseIndexDiscoveryMatchesEdges pins the n > maxDenseCounterNodes
-// per-row counting fallback against the per-edge intersection strategy:
-// above the dense-table bound, inverted-index discovery must still produce
-// the exact secure topology, including across Deployer reuse (the per-key
-// cursors and row counters must come back clean).
-func TestSparseIndexDiscoveryMatchesEdges(t *testing.T) {
-	const n = maxDenseCounterNodes + 500
-	scheme, err := keys.NewQComposite(3000, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Sensors: n, Scheme: scheme, Channel: channel.OnOff{P: 0.3}}
-	r := rng.New(7)
-	asg, err := scheme.Assign(r, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	channels, err := cfg.Channel.Sample(r, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	edgeD, err := NewDeployer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := edgeD.discoverByEdges(asg.Rings, channels, 1); err != nil {
-		t.Fatal(err)
-	}
-	want, err := graph.NewFromEdges(n, edgeD.edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.M() == 0 {
-		t.Fatal("test topology has no secure links")
-	}
-
-	indexD, err := NewDeployer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		indexD.edges = indexD.edges[:0]
-		if err := indexD.discoverByIndex(asg.Rings, channels, 1); err != nil {
-			t.Fatal(err)
-		}
-		got, err := graph.NewFromEdges(n, indexD.edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !graphsEqual(want, got) {
-			t.Fatalf("pass %d: sparse index topology differs from per-edge (%d vs %d links)",
-				pass, got.M(), want.M())
-		}
-	}
-}
-
 // TestOneClassHeterogeneousDeploymentMatchesQComposite is the deployment
 // half of the 1-class equivalence contract (the scheme half lives in
 // internal/keys): a single-class Heterogeneous scheme must yield deployments
@@ -422,49 +379,20 @@ func TestNewDeployerValidatesEagerly(t *testing.T) {
 }
 
 // TestDiscoveryStrategySelection asserts that the test configurations above
-// genuinely exercise both discovery strategies, on the CSR path and on the
-// streaming path.
+// genuinely exercise both shared-key strategies.
 func TestDiscoveryStrategySelection(t *testing.T) {
 	cfgs := deployerConfigs(t)
-	wantIndex := map[string]bool{
-		"onoff-dense":   true,
-		"onoff-q3":      true,
-		"onoff-sparse":  false, // ~70 channel edges: per-edge intersection wins
-		"onoff-ladder":  false, // ~2·10⁶ index increments vs ~4.7·10⁴ 32-key ring intersections
-		"always-on":     true,
-		"onoff-all-off": false, // empty channel graph
-	}
-	for name, want := range wantIndex {
-		cfg := cfgs[name]
-		d, err := NewDeployer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		channels, err := cfg.Channel.Sample(rng.New(1), cfg.Sensors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		asg, err := cfg.Scheme.Assign(rng.New(1), cfg.Sensors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := d.useIndexDiscovery(asg.Rings, channels); got != want {
-			t.Errorf("%s: useIndexDiscovery = %v, want %v (channel edges %d)",
-				name, got, want, channels.M())
-		}
-	}
-
 	wantRow := map[string]bool{
 		"onoff-dense":         true,
 		"onoff-q3":            true,
 		"always-on":           true,
 		"hetero-onoff":        true,
-		"onoff-sparse":        false,
-		"onoff-ladder":        false,
-		"onoff-all-off":       false,
-		"disk-torus":          false, // no closed-form pair count
+		"disk-torus":          true,
+		"hetero-heterchannel": true,
+		"onoff-sparse":        false, // ~70 channel pairs: per-pair intersection wins
+		"onoff-ladder":        false, // ~2·10⁶ index increments vs ~4.7·10⁴ 32-key ring intersections
+		"onoff-all-off":       false, // no channel pairs
 		"disk-zero":           false,
-		"hetero-heterchannel": false,
 	}
 	for name, want := range wantRow {
 		d, err := NewDeployer(cfgs[name])
@@ -476,6 +404,12 @@ func TestDiscoveryStrategySelection(t *testing.T) {
 		}
 		if d.rowIndex != want {
 			t.Errorf("%s: streaming row index = %v, want %v", name, d.rowIndex, want)
+		}
+		if _, err := d.Deploy(1); err != nil {
+			t.Fatal(err)
+		}
+		if d.rowIndex != want {
+			t.Errorf("%s: Deploy row index = %v, want %v", name, d.rowIndex, want)
 		}
 	}
 	d, err := NewDeployer(cfgs["onoff-ladder"])

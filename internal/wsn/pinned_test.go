@@ -46,10 +46,10 @@ func emittedGraph(t *testing.T, cfg Config, r *rng.Rand, labels []uint8) *graph.
 		return true
 	}
 	var err error
-	if cem, ok := cfg.Channel.(channel.ClassEdgeEmitter); ok {
-		err = cem.EmitClassEdges(r, cfg.Sensors, labels, yield)
+	if cm, ok := cfg.Channel.(channel.ClassModel); ok {
+		err = cm.EmitClassEdges(r, cfg.Sensors, labels, yield)
 	} else {
-		err = cfg.Channel.(channel.EdgeEmitter).EmitEdges(r, cfg.Sensors, yield)
+		err = cfg.Channel.EmitEdges(r, cfg.Sensors, yield)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -62,28 +62,26 @@ func (n *Network) SimulateDiscovery() (DiscoveryStats, error) {
 	// Phase 1: one key-ID broadcast per sensor, heard by channel neighbors.
 	// Frames are sized by the sensor's actual ring (per-class sizes under a
 	// heterogeneous scheme); each neighbor merges the received ring against
-	// its own, one sorted merge of |ring_v| + |ring_w| steps.
+	// its own, one sorted merge of |ring_v| + |ring_w| steps per direction —
+	// so sensor v's ring enters 2·deg(v) merges.
 	totalNeighbors := 0
 	for v := int32(0); int(v) < n.cfg.Sensors; v++ {
 		broadcastFrame := int64(headerBytes + n.rings[v].Len()*keyIDBytes)
 		st.Broadcasts++
 		st.BroadcastBytes += broadcastFrame
 		sent[v] += broadcastFrame
-		totalNeighbors += n.channels.Degree(v)
+		deg := int(n.chanDeg[v])
+		totalNeighbors += deg
+		st.KeyComparisons += 2 * int64(deg) * int64(n.rings[v].Len())
 	}
-	n.channels.ForEachEdge(func(u, v int32) bool {
-		// Both endpoints hear each other's broadcast; each runs one merge.
-		st.KeyComparisons += 2 * int64(n.rings[u].Len()+n.rings[v].Len())
-		return true
-	})
 	st.ChannelNeighborsMean = float64(totalNeighbors) / float64(n.cfg.Sensors)
 
-	// Phase 2: challenge/response per qualifying channel edge. The
-	// lower-indexed endpoint issues the challenge; the peer acknowledges.
+	// Phase 2: challenge/response per secure link, re-checking that its
+	// endpoints share at least q keys. The lower-indexed endpoint issues the
+	// challenge; the peer acknowledges.
 	q := n.cfg.Scheme.RequiredOverlap()
-	n.channels.ForEachEdge(func(u, v int32) bool {
-		shared := n.rings[u].SharedCount(n.rings[v])
-		if shared < q {
+	n.secure.ForEachEdge(func(u, v int32) bool {
+		if n.rings[u].SharedCount(n.rings[v]) < q {
 			return true
 		}
 		frame := int64(headerBytes + challengeBytes)

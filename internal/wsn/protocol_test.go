@@ -33,11 +33,12 @@ func TestSimulateDiscoveryBasics(t *testing.T) {
 	if st.UnicastBytes != wantUnicastBytes {
 		t.Errorf("UnicastBytes = %d, want %d", st.UnicastBytes, wantUnicastBytes)
 	}
-	wantNeighbors := 2 * float64(net.ChannelTopology().M()) / float64(n)
+	_, channels := referenceDraw(t, net.cfg, net.cfg.Seed)
+	wantNeighbors := 2 * float64(channels.M()) / float64(n)
 	if math.Abs(st.ChannelNeighborsMean-wantNeighbors) > 1e-9 {
 		t.Errorf("ChannelNeighborsMean = %v, want %v", st.ChannelNeighborsMean, wantNeighbors)
 	}
-	if st.KeyComparisons != int64(2*net.ChannelTopology().M())*int64(2*ringSize) {
+	if st.KeyComparisons != int64(2*channels.M())*int64(2*ringSize) {
 		t.Errorf("KeyComparisons = %d", st.KeyComparisons)
 	}
 	// Per-sensor energy proxy: mean must equal total bytes / n.

@@ -7,6 +7,7 @@ import (
 	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/rng"
+	"github.com/secure-wsn/qcomposite/internal/theory"
 )
 
 // ConnStats are the union-find-answerable statistics of one deployment's
@@ -60,9 +61,9 @@ func (d *Deployer) DeployConnectivityRand(r *rng.Rand) (ConnStats, error) {
 
 func (d *Deployer) deployConnectivity(r *rng.Rand) (ConnStats, error) {
 	d.suf.Reset(d.cfg.Sensors)
-	d.batchDegrees = false
+	d.sink = sinkConnectivity
 	if d.streamYield == nil {
-		// One persistent closure: yield crosses the EdgeEmitter interface
+		// One persistent closure: yield crosses the channel.Model interface
 		// boundary, where escape analysis would heap-allocate a fresh
 		// closure per call; capturing only the receiver keeps the trial
 		// loop at zero allocations.
@@ -73,7 +74,7 @@ func (d *Deployer) deployConnectivity(r *rng.Rand) (ConnStats, error) {
 			return !d.suf.Done()
 		}
 	}
-	if err := d.streamSecureEdges(r, d.streamYield); err != nil {
+	if _, err := d.streamSecureEdges(r, d.streamYield); err != nil {
 		return ConnStats{}, fmt.Errorf("wsn: deploy connectivity: %w", err)
 	}
 	return d.connStats(), nil
@@ -142,7 +143,7 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 	n := d.cfg.Sensors
 	d.suf.Reset(n)
 	d.sd.Reset(n, k)
-	d.batchDegrees = true
+	d.sink = sinkDegrees
 	if d.degYield == nil {
 		// Persistent for the same reason as streamYield; one closure serves
 		// every k because the accumulator holds the current target.
@@ -154,7 +155,7 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 			return !(d.suf.Done() && d.sd.AllAtLeastK())
 		}
 	}
-	if err := d.streamSecureEdges(r, d.degYield); err != nil {
+	if _, err := d.streamSecureEdges(r, d.degYield); err != nil {
 		return DegreeStats{}, fmt.Errorf("wsn: deploy degree stats: %w", err)
 	}
 	minDeg := d.sd.MinDegree()
@@ -170,17 +171,19 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 	}, nil
 }
 
-// streamSecureEdges is the shared core of the graph-free deployment modes:
-// key predistribution, the shared-key test's setup, and the channel draw
-// streamed edge by edge. On the row index each edge goes to rowYield (which
+// streamSecureEdges is the one edge pipeline of every deployment mode: key
+// predistribution, the shared-key test's setup, and the channel draw
+// streamed pair by pair. On the row index each pair goes to rowYield (which
 // filters by sharesQ and feeds whatever sinks the mode maintains); on the
-// Intersector to pushPair, whose flush feeds the sinks batchDegrees
-// selects. The caller resets its sinks first; the early-exit verdict stops
-// the emitter.
-func (d *Deployer) streamSecureEdges(r *rng.Rand, rowYield func(u, v int32) bool) error {
+// Intersector to pushPair, whose flush feeds the sinks d.sink selects. The
+// caller resets its sinks first; the early-exit verdict stops the emitter.
+// It returns the assignment the pairs were tested against.
+func (d *Deployer) streamSecureEdges(r *rng.Rand, rowYield func(u, v int32) bool) (keys.Assignment, error) {
 	n := d.cfg.Sensors
 
-	// 1. Key predistribution, identical to deploy: same arena, same draws.
+	// 1. Key predistribution: per-sensor class labels and class-sized rings.
+	// Schemes that support arena assignment write the rings into the
+	// Deployer's arena; others allocate per deployment.
 	var asg keys.Assignment
 	var err error
 	if aa, ok := d.cfg.Scheme.(keys.ArenaAssigner); ok {
@@ -189,12 +192,12 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, rowYield func(u, v int32) bool
 		asg, err = d.cfg.Scheme.Assign(r, n)
 	}
 	if err != nil {
-		return err
+		return asg, err
 	}
 
 	// 2. The shared-key test, exact whichever strategy it picks.
-	if err := d.resetSharesQ(asg.Rings); err != nil {
-		return err
+	if err := d.resetSharesQ(asg); err != nil {
+		return asg, err
 	}
 	yield := rowYield
 	if !d.rowIndex {
@@ -205,44 +208,22 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, rowYield func(u, v int32) bool
 		yield = d.batchYield
 	}
 
-	// 3. Stream the channel draw into the sinks. Class-aware models take
-	// priority exactly as in deploy, so a model that is class-aware AND a
-	// plain emitter streams with the deployment's labels, never without
-	// them. Models with no streaming support fall back to a sampled channel
-	// graph walked edge by edge — the secure side still never materializes.
-	if cem, ok := d.cfg.Channel.(channel.ClassEdgeEmitter); ok {
-		err = cem.EmitClassEdges(r, n, asg.Labels, yield)
-	} else if cm, ok := d.cfg.Channel.(channel.ClassModel); ok {
-		var g *graph.Undirected
-		if bcm, ok := d.cfg.Channel.(channel.BufferedClassModel); ok {
-			g, err = bcm.SampleClassesInto(r, n, asg.Labels, d.chanBld)
-		} else {
-			g, err = cm.SampleClasses(r, n, asg.Labels)
-		}
-		if err == nil {
-			g.ForEachEdge(yield)
-		}
-	} else if em, ok := d.cfg.Channel.(channel.EdgeEmitter); ok {
-		err = em.EmitEdges(r, n, yield)
+	// 3. Stream the channel draw into the sinks. Class-aware models receive
+	// the deployment's class labels, so the scheme and channel observe one
+	// shared class assignment.
+	if cm, ok := d.cfg.Channel.(channel.ClassModel); ok {
+		err = cm.EmitClassEdges(r, n, asg.Labels, yield)
 	} else {
-		var g *graph.Undirected
-		if bm, ok := d.cfg.Channel.(channel.BufferedModel); ok {
-			g, err = bm.SampleInto(r, n, d.chanBld)
-		} else {
-			g, err = d.cfg.Channel.Sample(r, n)
-		}
-		if err == nil {
-			g.ForEachEdge(yield)
-		}
+		err = d.cfg.Channel.EmitEdges(r, n, yield)
 	}
 	// Test the last, partial batch (a no-op after an early exit, which
 	// flushed it). The early exit can stop mid-row; clearing the counted row
-	// keeps rowCnt all-zero between deployments, as countPairsByRow expects.
+	// keeps rowCnt all-zero between deployments, as countRow expects.
 	if !d.rowIndex {
 		d.flush()
 	}
 	d.clearRow()
-	return err
+	return asg, err
 }
 
 // streamBatch is how many emitted pairs the Intersector path buffers before
@@ -263,36 +244,50 @@ func (d *Deployer) pushPair(u, v int32) bool {
 	return d.flush()
 }
 
-// flush tests the buffered pairs with FilterAtLeast, pushes the accepted
-// ones into the union-find (and, in degree mode, the degree accumulator),
-// empties the batch and reports whether the verdict is still open. The
-// union-find stops at the edge that connects the network, after which its
-// statistics are final; the degree accumulator takes every accepted pair,
-// and its reported statistics are final once every sensor has degree k. So
-// the pairs tested past the deciding one change no reported value.
+// flush tests the buffered pairs with FilterAtLeast, feeds the accepted
+// ones to the sinks d.sink selects, empties the batch and reports whether
+// the verdict is still open. The union-find stops at the edge that connects
+// the network, after which its statistics are final; the degree accumulator
+// takes every accepted pair, and its reported statistics are final once
+// every sensor has degree k. So the pairs tested past the deciding one
+// change no reported value. The collect sink counts every pair's channel
+// degrees and keeps the accepted pairs; it never stops the stream.
 func (d *Deployer) flush() bool {
 	batch := d.batch[:d.batched]
 	keep := d.ix.FilterAtLeast(batch, d.streamQ, d.keep[:0])
-	d.suf.AddBatch(batch, keep)
-	more := !d.suf.Done()
-	if d.batchDegrees {
+	d.batched = 0
+	switch d.sink {
+	case sinkCollect:
+		for _, e := range batch {
+			d.chanDeg[e[0]]++
+			d.chanDeg[e[1]]++
+		}
+		for _, i := range keep {
+			e := batch[i]
+			d.edges = append(d.edges, graph.Edge{U: e[0], V: e[1]})
+		}
+		return true
+	case sinkDegrees:
+		d.suf.AddBatch(batch, keep)
 		for _, i := range keep {
 			e := batch[i]
 			d.sd.Add(e[0], e[1])
 		}
-		more = more || !d.sd.AllAtLeastK()
+		return !d.suf.Done() || !d.sd.AllAtLeastK()
+	default:
+		d.suf.AddBatch(batch, keep)
+		return !d.suf.Done()
 	}
-	d.batched = 0
-	return more
 }
 
-// resetSharesQ readies sharesQ for one deployment's rings: it picks the
-// strategy and builds only that one's state — the key→holders index behind
-// the per-row counter, or the keys.Intersector the per-edge CSR strategy
-// uses.
-func (d *Deployer) resetSharesQ(rings []keys.Ring) error {
+// resetSharesQ readies sharesQ for one deployment's assignment: it picks
+// the strategy and builds only that one's state — the key→holders index
+// behind the per-row counter, or the keys.Intersector flush tests batches
+// with.
+func (d *Deployer) resetSharesQ(asg keys.Assignment) error {
+	rings := asg.Rings
 	d.streamQ = d.cfg.Scheme.RequiredOverlap()
-	d.rowIndex = d.useRowIndex(totalKeys(rings))
+	d.rowIndex = d.useRowIndex(totalKeys(rings), asg.Labels)
 	if d.rowIndex {
 		if n := d.cfg.Sensors; cap(d.rowCnt) < n {
 			d.rowCnt = make([]uint8, n)
@@ -311,20 +306,53 @@ func (d *Deployer) resetSharesQ(rings []keys.Ring) error {
 	return d.ix.Reset(rings)
 }
 
-// useRowIndex selects the streaming shared-key strategy with indexCheaper,
-// charged with the channel's expected pair count: p·C(n,2) for OnOff and
-// C(n,2) for AlwaysOn. Other models keep the Intersector.
-func (d *Deployer) useRowIndex(totalKeys int) bool {
+// useRowIndex selects the shared-key strategy with indexCheaper, charged
+// with the channel's expected pair count: p·C(n,2) for OnOff, C(n,2) for
+// AlwaysOn, C(n,2)·theory.DiskOnProb(r) for Disk, and Σ over class pairs of
+// the block's pair count × P[i][j] for HeterOnOff, from the deployment's
+// class labels. Every one of those emitters walks pairs row by row, which
+// the row index needs to count each row once. Other models keep the
+// Intersector.
+func (d *Deployer) useRowIndex(totalKeys int, labels []uint8) bool {
 	n := float64(d.cfg.Sensors)
 	pairs := n * (n - 1) / 2
 	switch ch := d.cfg.Channel.(type) {
 	case channel.OnOff:
 		pairs *= ch.P
 	case channel.AlwaysOn:
+	case channel.Disk:
+		p, err := theory.DiskOnProb(ch.Radius)
+		if err != nil {
+			return false
+		}
+		pairs *= p
+	case channel.HeterOnOff:
+		pairs = heterPairs(ch, d.cfg.Sensors, labels)
 	default:
 		return false
 	}
 	return d.indexCheaper(totalKeys, pairs)
+}
+
+// heterPairs is the expected number of on channels of m on n sensors with
+// the given class labels (nil: every sensor is class 0).
+func heterPairs(m channel.HeterOnOff, n int, labels []uint8) float64 {
+	var size [256]float64
+	if labels == nil {
+		size[0] = float64(n)
+	} else {
+		for _, c := range labels {
+			size[c]++
+		}
+	}
+	pairs := 0.0
+	for i := range m.P {
+		pairs += size[i] * (size[i] - 1) / 2 * m.P[i][i]
+		for j := i + 1; j < len(m.P); j++ {
+			pairs += size[i] * size[j] * m.P[i][j]
+		}
+	}
+	return pairs
 }
 
 // sharesQ reports whether sensors u and v share at least q keys — exactly

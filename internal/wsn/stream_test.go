@@ -5,41 +5,10 @@ import (
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/channel"
-	"github.com/secure-wsn/qcomposite/internal/graph"
 	"github.com/secure-wsn/qcomposite/internal/graphalgo"
 	"github.com/secure-wsn/qcomposite/internal/keys"
 	"github.com/secure-wsn/qcomposite/internal/rng"
 )
-
-// bufferedOnlyChannel hides a model's EdgeEmitter methods while keeping the
-// buffered Sample path, forcing the connectivity-only mode onto its
-// SampleInto fallback.
-type bufferedOnlyChannel struct{ m channel.BufferedModel }
-
-func (b bufferedOnlyChannel) Name() string    { return b.m.Name() }
-func (b bufferedOnlyChannel) Validate() error { return b.m.Validate() }
-func (b bufferedOnlyChannel) Sample(r *rng.Rand, n int) (*graph.Undirected, error) {
-	return b.m.Sample(r, n)
-}
-func (b bufferedOnlyChannel) SampleInto(r *rng.Rand, n int, bld *graph.Builder) (*graph.Undirected, error) {
-	return b.m.SampleInto(r, n, bld)
-}
-
-// bufferedOnlyClassChannel is the class-aware analogue.
-type bufferedOnlyClassChannel struct{ m channel.BufferedClassModel }
-
-func (b bufferedOnlyClassChannel) Name() string    { return b.m.Name() }
-func (b bufferedOnlyClassChannel) Validate() error { return b.m.Validate() }
-func (b bufferedOnlyClassChannel) ClassCount() int { return b.m.ClassCount() }
-func (b bufferedOnlyClassChannel) Sample(r *rng.Rand, n int) (*graph.Undirected, error) {
-	return b.m.Sample(r, n)
-}
-func (b bufferedOnlyClassChannel) SampleClasses(r *rng.Rand, n int, labels []uint8) (*graph.Undirected, error) {
-	return b.m.SampleClasses(r, n, labels)
-}
-func (b bufferedOnlyClassChannel) SampleClassesInto(r *rng.Rand, n int, labels []uint8, bld *graph.Builder) (*graph.Undirected, error) {
-	return b.m.SampleClassesInto(r, n, labels, bld)
-}
 
 // connStatsOf computes a deployment's ConnStats the batch way: deploy the
 // full network and measure the CSR secure topology.
@@ -64,51 +33,33 @@ func connStatsOf(t *testing.T, net *Network) ConnStats {
 }
 
 // TestDeployConnectivityMatchesCSR is the central equivalence test of the
-// streaming pipeline (the PR's satellite 1): for every channel model, both
-// discovery regimes and several seeds, the connectivity-only mode must report
-// exactly the statistics a full CSR deployment measures — on the streaming
-// emitters AND on the sampled-graph fallbacks (emitter methods hidden).
+// streaming pipeline: for every channel model, both shared-key strategies
+// and several seeds, the connectivity-only mode must report exactly the
+// statistics a full CSR deployment measures.
 func TestDeployConnectivityMatchesCSR(t *testing.T) {
 	for name, cfg := range deployerConfigs(t) {
-		variants := map[string]Config{"streaming": cfg}
-		fallback := cfg
-		if cm, ok := cfg.Channel.(channel.BufferedClassModel); ok {
-			fallback.Channel = bufferedOnlyClassChannel{m: cm}
-		} else {
-			fallback.Channel = bufferedOnlyChannel{m: cfg.Channel.(channel.BufferedModel)}
-		}
-		variants["sampled-fallback"] = fallback
-		unbuf := cfg
-		if cm, ok := cfg.Channel.(channel.ClassModel); ok {
-			unbuf.Channel = unbufferedClassChannel{m: cm}
-		} else {
-			unbuf.Channel = unbufferedChannel{m: cfg.Channel}
-		}
-		variants["unbuffered-fallback"] = unbuf
-		for vname, vcfg := range variants {
-			t.Run(name+"/"+vname, func(t *testing.T) {
-				d, err := NewDeployer(vcfg)
+		t.Run(name+"/streaming", func(t *testing.T) {
+			d, err := NewDeployer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(0); seed < 4; seed++ {
+				refCfg := cfg
+				refCfg.Seed = seed
+				net, err := Deploy(refCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for seed := uint64(0); seed < 4; seed++ {
-					refCfg := cfg
-					refCfg.Seed = seed
-					net, err := Deploy(refCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := connStatsOf(t, net)
-					got, err := d.DeployConnectivity(seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Fatalf("seed %d: ConnStats %+v, want %+v", seed, got, want)
-					}
+				want := connStatsOf(t, net)
+				got, err := d.DeployConnectivity(seed)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				if got != want {
+					t.Fatalf("seed %d: ConnStats %+v, want %+v", seed, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -177,47 +128,36 @@ func degreeStatsOf(t *testing.T, net *Network, k int) DegreeStats {
 }
 
 // TestDeployDegreeStatsMatchesCSR is the degree-mode analogue of the
-// connectivity equivalence test (the PR's satellite coverage): for every
-// channel model, streaming and fallback variants, several seeds and several
-// degree levels, the streaming degree mode must report exactly what a full
-// CSR deployment measures — connectivity statistics, the min-degree ≥ k
-// verdict, the truncated min degree and the below-k count.
+// connectivity equivalence test: for every channel model, several seeds and
+// several degree levels, the streaming degree mode must report exactly what
+// a full CSR deployment measures — connectivity statistics, the min-degree
+// ≥ k verdict, the truncated min degree and the below-k count.
 func TestDeployDegreeStatsMatchesCSR(t *testing.T) {
 	for name, cfg := range deployerConfigs(t) {
-		variants := map[string]Config{"streaming": cfg}
-		fallback := cfg
-		if cm, ok := cfg.Channel.(channel.BufferedClassModel); ok {
-			fallback.Channel = bufferedOnlyClassChannel{m: cm}
-		} else {
-			fallback.Channel = bufferedOnlyChannel{m: cfg.Channel.(channel.BufferedModel)}
-		}
-		variants["sampled-fallback"] = fallback
-		for vname, vcfg := range variants {
-			t.Run(name+"/"+vname, func(t *testing.T) {
-				d, err := NewDeployer(vcfg)
+		t.Run(name+"/streaming", func(t *testing.T) {
+			d, err := NewDeployer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(0); seed < 4; seed++ {
+				refCfg := cfg
+				refCfg.Seed = seed
+				net, err := Deploy(refCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for seed := uint64(0); seed < 4; seed++ {
-					refCfg := cfg
-					refCfg.Seed = seed
-					net, err := Deploy(refCfg)
+				for _, k := range []int{0, 1, 2, 4} {
+					want := degreeStatsOf(t, net, k)
+					got, err := d.DeployDegreeStats(seed, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, k := range []int{0, 1, 2, 4} {
-						want := degreeStatsOf(t, net, k)
-						got, err := d.DeployDegreeStats(seed, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got != want {
-							t.Fatalf("seed %d k=%d: DegreeStats %+v, want %+v", seed, k, got, want)
-						}
+					if got != want {
+						t.Fatalf("seed %d k=%d: DegreeStats %+v, want %+v", seed, k, got, want)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -325,26 +265,24 @@ func TestDeployConnectivityTinyNetworks(t *testing.T) {
 }
 
 // opaqueOnOff is OnOff under another type: every draw is the same, but
-// useRowIndex no longer recognizes the model, so the streaming modes take
-// the Intersector.
+// useRowIndex no longer recognizes the model, so every mode takes the
+// Intersector.
 type opaqueOnOff struct{ channel.OnOff }
 
 // TestStreamingStrategiesShareOneDeployer alternates CSR deployments and
-// both streaming strategies on one Deployer — at a size on the dense
-// counter table and one on the CSR per-row counter — and checks every
-// answer against a fresh CSR deployment. After each step the row counter
-// must be all-zero (the early exit stops mid-row) and, except after a CSR
-// per-row count that keeps them as cursors, so must the per-key counters.
+// both shared-key strategies on one Deployer — at a small size and at one
+// past two thousand sensors — and checks every answer against a fresh CSR
+// deployment. After each step the row counter must be all-zero (the early
+// exit stops mid-row).
 func TestStreamingStrategiesShareOneDeployer(t *testing.T) {
 	for _, c := range []struct {
-		name            string
-		n, pool, ring   int
-		q               int
-		p               float64
-		csrKeepsCursors bool
+		name          string
+		n, pool, ring int
+		q             int
+		p             float64
 	}{
-		{name: "dense-table", n: 120, pool: 500, ring: 40, q: 2, p: 0.8},
-		{name: "row-table", n: maxDenseCounterNodes + 100, pool: 3000, ring: 8, q: 1, p: 0.3, csrKeepsCursors: true},
+		{name: "small", n: 120, pool: 500, ring: 40, q: 2, p: 0.8},
+		{name: "large", n: 2148, pool: 3000, ring: 8, q: 1, p: 0.3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			scheme, err := keys.NewQComposite(c.pool, c.ring, c.q)
@@ -366,7 +304,7 @@ func TestStreamingStrategiesShareOneDeployer(t *testing.T) {
 				}
 				return net
 			}
-			clean := func(step string, keyCntClean bool) {
+			clean := func(step string) {
 				t.Helper()
 				for w, cnt := range d.rowCnt {
 					if cnt != 0 {
@@ -375,14 +313,6 @@ func TestStreamingStrategiesShareOneDeployer(t *testing.T) {
 				}
 				if len(d.rowTouched) != 0 {
 					t.Fatalf("%s: %d rowTouched entries left over", step, len(d.rowTouched))
-				}
-				if !keyCntClean {
-					return
-				}
-				for k, cnt := range d.keyCnt {
-					if cnt != 0 {
-						t.Fatalf("%s: keyCnt[%d] = %d left over", step, k, cnt)
-					}
 				}
 			}
 			deploy := func(seed uint64) {
@@ -394,7 +324,7 @@ func TestStreamingStrategiesShareOneDeployer(t *testing.T) {
 				if got, want := connStatsOf(t, net), connStatsOf(t, ref(seed)); got != want {
 					t.Fatalf("Deploy(%d): %+v, want %+v", seed, got, want)
 				}
-				clean("Deploy", !c.csrKeepsCursors)
+				clean("Deploy")
 			}
 			connectivity := func(seed uint64, ch channel.Model, wantRow bool) {
 				t.Helper()
@@ -409,7 +339,7 @@ func TestStreamingStrategiesShareOneDeployer(t *testing.T) {
 				if want := connStatsOf(t, ref(seed)); got != want {
 					t.Fatalf("DeployConnectivity(%d): %+v, want %+v", seed, got, want)
 				}
-				clean("DeployConnectivity", true)
+				clean("DeployConnectivity")
 			}
 			degrees := func(seed uint64, ch channel.Model, wantRow bool) {
 				t.Helper()
@@ -424,7 +354,7 @@ func TestStreamingStrategiesShareOneDeployer(t *testing.T) {
 				if want := degreeStatsOf(t, ref(seed), 2); got != want {
 					t.Fatalf("DeployDegreeStats(%d): %+v, want %+v", seed, got, want)
 				}
-				clean("DeployDegreeStats", true)
+				clean("DeployDegreeStats")
 			}
 			opaque := opaqueOnOff{onoff}
 			deploy(1)
@@ -460,7 +390,7 @@ func replayStream(t *testing.T, cfg Config, seed uint64) (pairs, connectedAt int
 	}
 	var suf graphalgo.StreamUnionFind
 	suf.Reset(cfg.Sensors)
-	err = cfg.Channel.(channel.EdgeEmitter).EmitEdges(r, cfg.Sensors, func(u, v int32) bool {
+	err = cfg.Channel.EmitEdges(r, cfg.Sensors, func(u, v int32) bool {
 		pairs++
 		if ix.HasAtLeast(u, v, cfg.Scheme.RequiredOverlap()) {
 			suf.Add(u, v)
@@ -552,10 +482,11 @@ func TestBatchedPathReuse(t *testing.T) {
 	}
 }
 
-// TestStreamingStrategyRule pins which strategy the streaming modes pick at
-// the paper's design points, from the cost model alone (no deployment, so
-// the n = 10⁶ rung costs nothing): every Figure 1 point takes the row
-// index; the sparse-channel ladder rungs keep the Intersector.
+// TestStreamingStrategyRule pins which strategy every mode picks at the
+// paper's design points, from the cost model alone (no deployment, so the
+// n = 10⁶ rung costs nothing): every Figure 1 point takes the row index; the
+// sparse-channel ladder rungs keep the Intersector. Disk and HeterOnOff are
+// charged their expected pair counts like OnOff.
 func TestStreamingStrategyRule(t *testing.T) {
 	type point struct {
 		name          string
@@ -580,7 +511,11 @@ func TestStreamingStrategyRule(t *testing.T) {
 	}
 	cases = append(cases,
 		point{name: "always-on", n: 1000, pool: 10000, ring: 60, q: 3, ch: channel.AlwaysOn{}, want: true},
-		point{name: "disk", n: 1000, pool: 10000, ring: 60, q: 3, ch: channel.Disk{Radius: 0.5}, want: false},
+		point{name: "disk", n: 1000, pool: 10000, ring: 60, q: 3, ch: channel.Disk{Radius: 0.5}, want: true},
+		point{name: "disk-sparse", n: 1000, pool: 512, ring: 32, q: 2, ch: channel.Disk{Radius: 0.05, Torus: true}, want: false},
+		point{name: "disk-zero", n: 1000, pool: 10000, ring: 60, q: 3, ch: channel.Disk{}, want: false},
+		point{name: "hetero", n: 1000, pool: 10000, ring: 60, q: 3, ch: channel.UniformHeterOnOff(1, 0.5), want: true},
+		point{name: "hetero-sparse", n: 1000, pool: 512, ring: 32, q: 2, ch: channel.UniformHeterOnOff(1, 0.01), want: false},
 		point{name: "opaque-onoff", n: 1000, pool: 10000, ring: 60, q: 3, ch: opaqueOnOff{channel.OnOff{P: 1}}, want: false},
 		point{name: "q-past-saturation", n: 1000, pool: 10000, ring: 300, q: maxCountedOverlap + 1,
 			ch: channel.AlwaysOn{}, want: false},
@@ -595,7 +530,7 @@ func TestStreamingStrategyRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := d.useRowIndex(c.n * c.ring); got != c.want {
+		if got := d.useRowIndex(c.n*c.ring, nil); got != c.want {
 			t.Errorf("%s n=%d K=%d q=%d %s: row index %v, want %v",
 				c.name, c.n, c.ring, c.q, c.ch.Name(), got, c.want)
 		}
@@ -645,7 +580,7 @@ func TestStreamingRejectsOutOfPoolKeys(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := d.useRowIndex(50 * c.scheme.ring); got != c.wantRow {
+			if got := d.useRowIndex(50*c.scheme.ring, nil); got != c.wantRow {
 				t.Fatalf("row index %v, want %v", got, c.wantRow)
 			}
 			if _, err := d.DeployConnectivity(1); err == nil {

@@ -1,6 +1,6 @@
 // Package wsn is the wireless sensor network simulator: it deploys sensors
-// with a key predistribution scheme, samples the physical channel model,
-// runs shared-key discovery over usable channels, and exposes the resulting
+// with a key predistribution scheme, draws the physical channel model, runs
+// shared-key discovery over usable channels, and exposes the resulting
 // secure topology — exactly the graph G_{n,q}(n,K,P,p) = G_q(n,K,P) ∩ G(n,p)
 // of the paper's Section II — together with the operational queries a
 // deployment cares about: secure paths, k-connectivity, failure injection,
@@ -88,7 +88,7 @@ type Network struct {
 	cfg         Config
 	rings       []keys.Ring
 	labels      []uint8 // per-sensor class labels; nil = single class
-	channels    *graph.Undirected
+	chanDeg     []int32 // per-sensor channel degree (on channels, secure or not)
 	secure      *graph.Undirected
 	alive       []bool
 	deadN       int
@@ -111,15 +111,26 @@ type Network struct {
 	sharedBuf  []keys.ID // scratch for shared-set queries
 }
 
+// resetChanDeg sizes the network's channel-degree buffer to the given
+// sensor count, zeroed, and returns it for a deployment to count into.
+func (n *Network) resetChanDeg(sensors int) []int32 {
+	if cap(n.chanDeg) < sensors {
+		n.chanDeg = make([]int32, sensors)
+	}
+	n.chanDeg = n.chanDeg[:sensors]
+	clear(n.chanDeg)
+	return n.chanDeg
+}
+
 // reset re-points the network at a fresh deployment's state, reusing the
-// grown buffers (liveness flags, link-table storage) it already owns. Called
-// by Deployer on its double-buffered Network slots.
+// grown buffers (liveness flags, link-table storage) it already owns; the
+// channel degrees are already counted into its buffer (resetChanDeg).
+// Called by Deployer on its double-buffered Network slots.
 func (n *Network) reset(cfg Config, rings []keys.Ring, labels []uint8,
-	channels, secure *graph.Undirected, algo *graphalgo.Workspace) {
+	secure *graph.Undirected, algo *graphalgo.Workspace) {
 	n.cfg = cfg
 	n.rings = rings
 	n.labels = labels
-	n.channels = channels
 	n.secure = secure
 	n.algo = algo
 	sensors := cfg.Sensors
@@ -136,7 +147,7 @@ func (n *Network) reset(cfg Config, rings []keys.Ring, labels []uint8,
 	n.invalidateLinks()
 }
 
-// Deploy assigns key rings, samples the channel model, and performs
+// Deploy assigns key rings, draws the channel model, and performs
 // shared-key discovery over every usable channel, establishing a secure link
 // wherever at least q keys are shared.
 //
@@ -260,9 +271,6 @@ func (n *Network) ClassOf(v int32) (int, error) {
 	}
 	return int(n.labels[v]), nil
 }
-
-// ChannelTopology returns the sampled channel graph (ignores failures).
-func (n *Network) ChannelTopology() *graph.Undirected { return n.channels }
 
 // FullSecureTopology returns the secure topology over all sensors, failed or
 // not — the graph G_{n,q} the paper analyses.
@@ -443,7 +451,7 @@ type Report struct {
 	Sensors        int     `json:"sensors"`
 	Alive          int     `json:"alive"`
 	SecureLinks    int     `json:"secure_links"`  // usable secure links among alive sensors
-	ChannelEdges   int     `json:"channel_edges"` // raw channel graph edges
+	ChannelEdges   int     `json:"channel_edges"` // on channels, secure or not, ignoring failures
 	MinDegree      int     `json:"min_degree"`    // of the alive secure topology
 	MeanDegree     float64 `json:"mean_degree"`   // of the alive secure topology
 	Components     int     `json:"components"`
@@ -469,7 +477,7 @@ func (n *Network) Snapshot() (Report, error) {
 		Sensors:        n.cfg.Sensors,
 		Alive:          n.AliveCount(),
 		SecureLinks:    sub.M(),
-		ChannelEdges:   n.channels.M(),
+		ChannelEdges:   n.channelEdges(),
 		MinDegree:      sub.MinDegree(),
 		Components:     comps,
 		LargestComp:    graphalgo.LargestComponentSize(sub),
@@ -514,4 +522,13 @@ func (n *Network) Snapshot() (Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// channelEdges returns the number of on channels of the deployment.
+func (n *Network) channelEdges() int {
+	sum := 0
+	for _, deg := range n.chanDeg {
+		sum += int(deg)
+	}
+	return sum / 2
 }

@@ -55,7 +55,7 @@ func TestDeployEstablishesOnlyValidLinks(t *testing.T) {
 	net := deployTest(t, 7)
 	q := net.Scheme().RequiredOverlap()
 	topo := net.FullSecureTopology()
-	chans := net.ChannelTopology()
+	_, chans := referenceDraw(t, net.cfg, net.cfg.Seed)
 
 	// Every secure edge must be a channel edge with ≥ q shared keys and a
 	// link key derived from exactly the shared keys.
@@ -328,6 +328,9 @@ func TestSnapshot(t *testing.T) {
 	}
 	if rep.SecureLinks != net.FullSecureTopology().M() {
 		t.Errorf("SecureLinks = %d", rep.SecureLinks)
+	}
+	if _, chans := referenceDraw(t, net.cfg, net.cfg.Seed); rep.ChannelEdges != chans.M() {
+		t.Errorf("ChannelEdges = %d, want %d", rep.ChannelEdges, chans.M())
 	}
 	if rep.SchemeName != "2-composite" {
 		t.Errorf("SchemeName = %q", rep.SchemeName)
