@@ -310,9 +310,9 @@ func (d *Deployer) resetSharesQ(asg keys.Assignment) error {
 // with the channel's expected pair count: p·C(n,2) for OnOff, C(n,2) for
 // AlwaysOn, C(n,2)·theory.DiskOnProb(r) for Disk, and Σ over class pairs of
 // the block's pair count × P[i][j] for HeterOnOff, from the deployment's
-// class labels. Every one of those emitters walks pairs row by row, which
-// the row index needs to count each row once. Other models keep the
-// Intersector.
+// class labels. Those emitters walk pairs row by row (HeterOnOff within
+// each class block), so the row index counts a row once, or at most once
+// per block the row leads. Other models keep the Intersector.
 func (d *Deployer) useRowIndex(totalKeys int, labels []uint8) bool {
 	n := float64(d.cfg.Sensors)
 	pairs := n * (n - 1) / 2
