@@ -227,7 +227,14 @@ func TestComplete(t *testing.T) {
 	if g.Density() != 1 {
 		t.Errorf("K5 density = %v", g.Density())
 	}
-	// The direct CSR construction must equal the edge-list build.
+	if _, err := Complete(-1); err == nil {
+		t.Error("negative n: want error")
+	}
+}
+
+// TestBuilderCompleteMatchesEdgeList pins Complete's direct CSR
+// construction against the edge-list build of the same graph.
+func TestBuilderCompleteMatchesEdgeList(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 20} {
 		got, err := Complete(n)
 		if err != nil {
@@ -242,9 +249,9 @@ func TestComplete(t *testing.T) {
 		if want := mustGraph(t, n, edges); !sameGraph(want, got) {
 			t.Errorf("n=%d: direct-CSR complete graph differs from edge-list build", n)
 		}
-	}
-	if _, err := Complete(-1); err == nil {
-		t.Error("negative n: want error")
+		if got.M() != n*(n-1)/2 {
+			t.Errorf("n=%d: M = %d, want %d", n, got.M(), n*(n-1)/2)
+		}
 	}
 }
 

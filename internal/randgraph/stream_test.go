@@ -182,3 +182,47 @@ func TestStreamValidation(t *testing.T) {
 		t.Error("bipartite p=2: want error")
 	}
 }
+
+// TestAppendErdosRenyiMatchesErdosRenyi pins the streamed sampler, collected
+// into one reused destination buffer, against the one-shot graph
+// constructor.
+func TestAppendErdosRenyiMatchesErdosRenyi(t *testing.T) {
+	var buf []graph.Edge
+	collect := func(u, v int32) bool {
+		buf = append(buf, graph.Edge{U: u, V: v})
+		return true
+	}
+	for _, p := range []float64{0, 0.07, 0.5, 1} {
+		for trial := 0; trial < 4; trial++ {
+			seed := uint64(3000 + trial)
+			want, err := ErdosRenyi(rng.New(seed), 70, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = buf[:0]
+			if err := AppendErdosRenyiStream(rng.New(seed), 70, p, collect); err != nil {
+				t.Fatal(err)
+			}
+			got, err := graph.NewFromEdges(70, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.M() != got.M() || !want.IsSpanningSubgraphOf(got) || !got.IsSpanningSubgraphOf(want) {
+				t.Fatalf("p=%g trial %d: AppendErdosRenyiStream differs from ErdosRenyi", p, trial)
+			}
+		}
+	}
+	if err := AppendErdosRenyiStream(rng.New(1), -1, 0.5, collect); err == nil {
+		t.Error("negative n: want error")
+	}
+	if err := AppendErdosRenyiStream(rng.New(1), 10, 1.5, collect); err == nil {
+		t.Error("p out of range: want error")
+	}
+	// The one-shot form must reject bad probabilities before sizing its
+	// edge buffer from them (int(+Inf·…) would panic make).
+	for _, p := range []float64{math.Inf(1), math.NaN(), -0.5, 2} {
+		if _, err := ErdosRenyi(rng.New(1), 10, p); err == nil {
+			t.Errorf("p=%v: want error", p)
+		}
+	}
+}

@@ -301,6 +301,52 @@ func TestDeployerPoolConcurrent(t *testing.T) {
 	}
 }
 
+// TestSparseIndexDiscoveryMatchesEdges pins the row-indexed shared-key test
+// against per-pair ring intersection on a CSR deployment past two thousand
+// sensors: both strategies must produce the exact secure topology, including
+// across Deployer reuse (the per-key counts and row counters must come back
+// clean).
+func TestSparseIndexDiscoveryMatchesEdges(t *testing.T) {
+	const n = 2548
+	scheme, err := keys.NewQComposite(3000, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onoff := channel.OnOff{P: 0.3}
+	edgeD, err := NewDeployer(Config{Sensors: n, Scheme: scheme, Channel: opaqueOnOff{onoff}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexD, err := NewDeployer(Config{Sensors: n, Scheme: scheme, Channel: onoff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass, seed := range []uint64{7, 8, 7} {
+		wantNet, err := edgeD.Deploy(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if edgeD.rowIndex {
+			t.Fatal("opaque channel took the row index")
+		}
+		want := wantNet.FullSecureTopology()
+		if want.M() == 0 {
+			t.Fatal("test topology has no secure links")
+		}
+		gotNet, err := indexD.Deploy(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !indexD.rowIndex {
+			t.Fatal("OnOff deployment did not take the row index")
+		}
+		if got := gotNet.FullSecureTopology(); !graphsEqual(want, got) {
+			t.Fatalf("pass %d: row-index topology differs from per-pair intersection (%d vs %d links)",
+				pass, got.M(), want.M())
+		}
+	}
+}
+
 // TestOneClassHeterogeneousDeploymentMatchesQComposite is the deployment
 // half of the 1-class equivalence contract (the scheme half lives in
 // internal/keys): a single-class Heterogeneous scheme must yield deployments
