@@ -17,8 +17,8 @@ import (
 // (DeployConnectivity, whose persistent yield closure keeps the
 // channel.Model interface crossing allocation-free), and on the streaming
 // degree path (DeployDegreeStats, same closure discipline with the degree
-// accumulator riding beside the union-find). The Figure 1 point takes the
-// row index; a ladder-rung density (sparse channel) keeps every mode on the
+// accumulator riding beside the union-find). The Figure 1 points at p = 0.5
+// and p = 1 take the row index; a ladder-rung density (sparse channel) keeps every mode on the
 // batched Intersector, so each strategy is gated on every sink.
 func TestConnectivityTrialAllocBudget(t *testing.T) {
 	if testing.Short() {
@@ -29,6 +29,10 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, err := NewDeployer(Config{Sensors: 1000, Scheme: scheme, Channel: channel.OnOff{P: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := NewDeployer(Config{Sensors: 1000, Scheme: scheme, Channel: channel.OnOff{P: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +66,28 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 		"streaming-degrees": func() {
 			seed++
 			if _, err := d.DeployDegreeStats(seed, 2); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"csr-p1": func() {
+			seed++
+			net, err := p1.Deploy(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := net.IsConnected(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"streaming-p1": func() {
+			seed++
+			if _, err := p1.DeployConnectivity(seed); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"streaming-degrees-p1": func() {
+			seed++
+			if _, err := p1.DeployDegreeStats(seed, 2); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -99,8 +125,8 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 			}
 		})
 	}
-	if !d.rowIndex || ladder.rowIndex {
-		t.Errorf("streaming row index: Figure 1 point %v, ladder rung %v; want true, false",
-			d.rowIndex, ladder.rowIndex)
+	if !d.rowIndex || !p1.rowIndex || ladder.rowIndex {
+		t.Errorf("streaming row index: Figure 1 points %v (p = 0.5), %v (p = 1), ladder rung %v; want true, true, false",
+			d.rowIndex, p1.rowIndex, ladder.rowIndex)
 	}
 }

@@ -55,7 +55,8 @@ func requireSameNetwork(t *testing.T, want, got *Network) {
 // deployerConfigs covers both shared-key strategies and all channel
 // models: dense channels take the row index, near-empty ones the batched
 // Intersector (TestDiscoveryStrategySelection pins which case takes which).
-// onoff-ladder is the streaming ladder's rung scaled down to n = 1000: the
+// onoff-q3 and onoff-p1 share the Figure 1 regime scaled down, at p = 0.5
+// and at p = 1. onoff-ladder is the streaming ladder's rung scaled down to n = 1000: the
 // dense Intersector, tested in batches (TestLadderBatchBoundaries pins where
 // its streams stop relative to them).
 func deployerConfigs(t *testing.T) map[string]Config {
@@ -87,6 +88,7 @@ func deployerConfigs(t *testing.T) map[string]Config {
 	return map[string]Config{
 		"onoff-dense": {Sensors: 120, Scheme: scheme, Channel: channel.OnOff{P: 0.8}},
 		"onoff-q3":    {Sensors: 200, Scheme: q3Scheme, Channel: channel.OnOff{P: 0.5}},
+		"onoff-p1":    {Sensors: 200, Scheme: q3Scheme, Channel: channel.OnOff{P: 1}},
 		"onoff-ladder": {Sensors: ladderSensors, Scheme: ladderScheme,
 			Channel: channel.OnOff{P: 8 * math.Log(ladderSensors) / (0.594 * ladderSensors)}},
 		"onoff-sparse":  {Sensors: 120, Scheme: sparseScheme, Channel: channel.OnOff{P: 0.01}},
@@ -431,6 +433,7 @@ func TestDiscoveryStrategySelection(t *testing.T) {
 	wantRow := map[string]bool{
 		"onoff-dense":         true,
 		"onoff-q3":            true,
+		"onoff-p1":            true,
 		"always-on":           true,
 		"hetero-onoff":        true,
 		"disk-torus":          true,

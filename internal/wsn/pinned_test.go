@@ -101,6 +101,9 @@ func TestDeployPinned(t *testing.T) {
 		"onoff-ladder/1":        {0xc60200b8bd6a228e, 46541, 5957248, 57380, 0xda5eabd89d078c13},
 		"onoff-ladder/2":        {0xe5ec85fb940fe2c4, 46722, 5980416, 57252, 0x1b8b6908ac13e156},
 		"onoff-ladder/3":        {0xbeab97d936b3297e, 46119, 5903232, 56540, 0x14a20ce26ae405ee},
+		"onoff-p1/1":            {0xa83ba3c39ce83538, 19900, 1592000, 8, 0xe24c4c6eb8f96a7c},
+		"onoff-p1/2":            {0x1d3adcf03d511660, 19900, 1592000, 14, 0x505838c4c12914b5},
+		"onoff-p1/3":            {0xfb905c89ac43d7fa, 19900, 1592000, 16, 0x4f906186bf4e8d9e},
 		"onoff-q3/1":            {0x6696025047daf66a, 9872, 789760, 2, 0x92c6e46dec1bcd2a},
 		"onoff-q3/2":            {0xbf19778b78132fc4, 9901, 792080, 8, 0x63f8da7cc5f7e90f},
 		"onoff-q3/3":            {0x48bb0fc2a5e6c808, 9997, 799760, 10, 0x62417256d3362ab8},
