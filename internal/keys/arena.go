@@ -11,12 +11,17 @@ import (
 // of an assignment live in one flat backing slice and the Ring headers in one
 // slice, so assigning n rings costs O(1) allocations after the first use.
 //
-// Each ring is materialized sorted and deduplicated without a comparison
-// sort when the pool is small next to the ring: once ⌈P/64⌉ ≤ K, setting
-// the K drawn IDs as bits in a ⌈P/64⌉-word scratch bitmap and extracting
-// them in word order is cheaper than sorting K values, and yields the same
-// ring. Larger pools keep sortDedup. The sampler draws are the same either
-// way.
+// Each ring is materialized sorted and deduplicated, by one of three
+// routes picked from the pool P and the ring size K (see appendRing):
+//   - ⌈P/64⌉ ≤ K: set the K drawn IDs as bits in a ⌈P/64⌉-word scratch
+//     bitmap and extract them in word order, cheaper than sorting K values;
+//   - ⌈P/4096⌉ ≤ K: the same bitmap plus a ⌈P/4096⌉-word summary whose bit i
+//     marks a nonzero bitmap word i, so extraction visits only the words
+//     holding IDs — O(K + P/4096) and no comparisons (every Figure 1 pool);
+//   - larger pools: sortDedup.
+//
+// A ring is a set, so its sorted order is unique: every route yields the
+// same ring, and the sampler draws are the same whichever runs.
 //
 // Rings returned by an arena-backed assignment are views into the arena and
 // remain valid only until the next assignment into the same arena. The zero
@@ -27,6 +32,7 @@ type RingArena struct {
 	labels  []uint8  // per-sensor class labels of multi-class schemes
 	buf     []ID     // per-ring scratch for sampling before sort/dedup
 	bitmap  []uint64 // per-ring ⌈P/64⌉-word scratch, all-zero between rings
+	summary []uint64 // bitmap's ⌈P/4096⌉-word summary, all-zero between rings
 	sampler *rng.SubsetSampler
 }
 
@@ -43,6 +49,7 @@ func (a *RingArena) ensureSampler(pool int) (*rng.SubsetSampler, error) {
 			return nil, fmt.Errorf("keys: assign: %w", err)
 		}
 		a.bitmap = make([]uint64, (pool+63)/64)
+		a.summary = make([]uint64, (len(a.bitmap)+63)/64)
 	}
 	return a.sampler, nil
 }
@@ -63,7 +70,8 @@ func (a *RingArena) reserve(n, totalIDs int) {
 }
 
 // appendRing samples one ring of the given size into the arena, sorted by
-// the bitmap when ⌈P/64⌉ ≤ size and by sortDedup otherwise.
+// the bitmap when ⌈P/64⌉ ≤ size, by the bitmap and its summary when
+// ⌈P/4096⌉ ≤ size, and by sortDedup otherwise.
 func (a *RingArena) appendRing(r *rng.Rand, sampler *rng.SubsetSampler, size int) error {
 	buf, err := sampler.AppendSample(r, size, a.buf[:0])
 	a.buf = buf
@@ -71,9 +79,12 @@ func (a *RingArena) appendRing(r *rng.Rand, sampler *rng.SubsetSampler, size int
 		return err
 	}
 	start := len(a.ids)
-	if len(a.bitmap) <= size {
-		a.ids = a.appendSortedByBitmap(a.ids, buf)
-	} else {
+	switch {
+	case len(a.bitmap) <= size:
+		a.ids = a.appendSortedByBitmap(a.ids, buf, nil)
+	case len(a.summary) <= size:
+		a.ids = a.appendSortedByBitmap(a.ids, buf, a.summary)
+	default:
 		a.ids = append(a.ids, sortDedup(buf)...)
 	}
 	a.rings = append(a.rings, Ring{ids: a.ids[start:len(a.ids):len(a.ids)]})
@@ -81,22 +92,49 @@ func (a *RingArena) appendRing(r *rng.Rand, sampler *rng.SubsetSampler, size int
 }
 
 // appendSortedByBitmap appends the distinct IDs of ids (all in [0, P)) to
-// dst in ascending order, leaving the scratch bitmap all-zero again.
-func (a *RingArena) appendSortedByBitmap(dst, ids []ID) []ID {
+// dst in ascending order, leaving the scratch bitmap all-zero again. With a
+// nil summary it scans every bitmap word; with the arena's summary it also
+// marks each touched word there and visits only the marked words, clearing
+// both levels as it goes.
+func (a *RingArena) appendSortedByBitmap(dst, ids []ID, summary []uint64) []ID {
 	bm := a.bitmap
 	for _, k := range ids {
 		bm[k>>6] |= 1 << (uint(k) & 63)
 	}
-	for i, w := range bm {
-		if w == 0 {
+	if summary == nil {
+		for i, w := range bm {
+			if w != 0 {
+				bm[i] = 0
+				dst = appendWordIDs(dst, i, w)
+			}
+		}
+		return dst
+	}
+	for _, k := range ids {
+		summary[k>>12] |= 1 << (uint(k>>6) & 63)
+	}
+	for j, s := range summary {
+		if s == 0 {
 			continue
 		}
-		bm[i] = 0
-		base := ID(i << 6)
-		for w != 0 {
-			dst = append(dst, base+ID(bits.TrailingZeros64(w)))
-			w &= w - 1
+		summary[j] = 0
+		for s != 0 {
+			i := j<<6 | bits.TrailingZeros64(s)
+			s &= s - 1
+			dst = appendWordIDs(dst, i, bm[i])
+			bm[i] = 0
 		}
+	}
+	return dst
+}
+
+// appendWordIDs appends the IDs whose bits are set in bitmap word i, in
+// ascending order.
+func appendWordIDs(dst []ID, i int, w uint64) []ID {
+	base := ID(i << 6)
+	for w != 0 {
+		dst = append(dst, base+ID(bits.TrailingZeros64(w)))
+		w &= w - 1
 	}
 	return dst
 }

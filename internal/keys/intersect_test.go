@@ -1,6 +1,7 @@
 package keys
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/secure-wsn/qcomposite/internal/rng"
@@ -193,30 +194,49 @@ func TestIntersectorRejectsOutOfPoolKeys(t *testing.T) {
 	}
 }
 
+// ringRoute names the materialization route appendRing takes for a pool
+// and ring size.
+func ringRoute(pool, ring int) string {
+	switch words := (pool + 63) / 64; {
+	case words <= ring:
+		return "bitmap"
+	case (words+63)/64 <= ring:
+		return "two-level"
+	default:
+		return "sort"
+	}
+}
+
 // TestAssignIntoMatchesAssign pins the determinism contract of the arena
 // path: for equal generator seeds, AssignInto must produce exactly the rings
 // Assign does (which always sorts) — including across arena reuse and a
-// change of pool, on both materialization rules and at their boundary:
-// ⌈P/64⌉ = K takes the bitmap, ⌈P/64⌉ = K + 1 the sort.
+// change of pool, on all three materialization routes and at their
+// boundaries: ⌈P/64⌉ = K takes the bitmap, ⌈P/64⌉ = K + 1 the two-level
+// bitmap; ⌈P/4096⌉ = K takes the two-level bitmap, ⌈P/4096⌉ = K + 1 the
+// sort.
 func TestAssignIntoMatchesAssign(t *testing.T) {
 	var arena RingArena
 	for _, tc := range []struct {
 		pool, ring int
-		bitmap     bool
+		route      string
 	}{
-		{pool: 500, ring: 40, bitmap: true},
-		{pool: 512, ring: 32, bitmap: true},
-		{pool: 512, ring: 8, bitmap: true},  // ⌈P/64⌉ = K
-		{pool: 513, ring: 8, bitmap: false}, // ⌈P/64⌉ = K + 1
-		{pool: 449, ring: 7, bitmap: false}, // ⌈P/64⌉ = K + 1
-		{pool: 448, ring: 7, bitmap: true},  // ⌈P/64⌉ = K
-		{pool: 64, ring: 64, bitmap: true},  // the whole pool
-		{pool: 10000, ring: 60, bitmap: false},
+		{pool: 500, ring: 40, route: "bitmap"},
+		{pool: 512, ring: 32, route: "bitmap"},
+		{pool: 512, ring: 8, route: "bitmap"},    // ⌈P/64⌉ = K
+		{pool: 513, ring: 8, route: "two-level"}, // ⌈P/64⌉ = K + 1
+		{pool: 449, ring: 7, route: "two-level"}, // ⌈P/64⌉ = K + 1
+		{pool: 448, ring: 7, route: "bitmap"},    // ⌈P/64⌉ = K
+		{pool: 64, ring: 64, route: "bitmap"},    // the whole pool
+		{pool: 4096, ring: 1, route: "two-level"},
+		{pool: 8192, ring: 2, route: "two-level"}, // ⌈P/4096⌉ = K
+		{pool: 8193, ring: 2, route: "sort"},      // ⌈P/4096⌉ = K + 1
+		{pool: 10000, ring: 60, route: "two-level"},
+		{pool: 1_000_000, ring: 60, route: "sort"},
 	} {
-		if got := (tc.pool+63)/64 <= tc.ring; got != tc.bitmap {
-			t.Fatalf("pool=%d ring=%d: bitmap rule %v, case says %v", tc.pool, tc.ring, got, tc.bitmap)
+		if got := ringRoute(tc.pool, tc.ring); got != tc.route {
+			t.Fatalf("pool=%d ring=%d: route rule says %s, case says %s", tc.pool, tc.ring, got, tc.route)
 		}
-		s, err := NewQComposite(tc.pool, tc.ring, 2)
+		s, err := NewQComposite(tc.pool, tc.ring, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,14 +255,20 @@ func TestAssignIntoMatchesAssign(t *testing.T) {
 	}
 }
 
-// TestHeterogeneousAssignIntoMixesRules covers a mixture whose classes fall
-// on both sides of the materialization rule (⌈512/64⌉ = 8: the 4-key class
-// sorts, the 8- and 30-key classes take the bitmap) against a reference
-// that replays the same draws — one label-stream seed, then one subset per
-// sensor — and sorts every ring.
+// TestHeterogeneousAssignIntoMixesRules covers a mixture whose classes take
+// all three materialization routes (P = 10000: the 2-key class sorts, the
+// 30-key class takes the two-level bitmap, the 160-key class the bitmap)
+// against a reference that replays the same draws — one label-stream seed,
+// then one subset per sensor — and sorts every ring.
 func TestHeterogeneousAssignIntoMixesRules(t *testing.T) {
-	classes := []Class{{Mu: 0.4, RingSize: 4}, {Mu: 0.3, RingSize: 8}, {Mu: 0.3, RingSize: 30}}
-	s, err := NewHeterogeneous(512, 1, classes)
+	const pool = 10000
+	classes := []Class{{Mu: 0.4, RingSize: 2}, {Mu: 0.3, RingSize: 30}, {Mu: 0.3, RingSize: 160}}
+	for c, want := range []string{"sort", "two-level", "bitmap"} {
+		if got := ringRoute(pool, classes[c].RingSize); got != want {
+			t.Fatalf("class %d: route %s, want %s", c, got, want)
+		}
+	}
+	s, err := NewHeterogeneous(pool, 1, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +280,7 @@ func TestHeterogeneousAssignIntoMixesRules(t *testing.T) {
 	}
 	r := rng.New(5)
 	r.Uint64() // the label sub-stream's seed
-	sampler, err := rng.NewSubsetSampler(512)
+	sampler, err := rng.NewSubsetSampler(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +345,46 @@ func FuzzNewRing(f *testing.F) {
 	})
 }
 
+// FuzzRingSortRoutes checks that the three ring materialization routes —
+// sortDedup, the one-level bitmap scan and the two-level one — agree on any
+// multiset of in-pool IDs, whatever the ring size, and that both scratch
+// levels are all-zero afterwards. The pool is in [1, 2²⁰]; the IDs are the
+// data's 4-byte words modulo the pool, so duplicates occur.
+func FuzzRingSortRoutes(f *testing.F) {
+	f.Add(uint32(10000), []byte{1, 0, 0, 0, 1, 0, 0, 0, 15, 39, 0, 0, 0, 16, 0, 0})
+	f.Add(uint32(0), []byte{0, 0, 0, 0})
+	f.Add(uint32(1<<20-1), []byte{255, 255, 255, 255, 0, 0, 16, 0, 0, 16, 0, 0})
+	f.Add(uint32(4095), []byte{})
+	var arena RingArena
+	f.Fuzz(func(t *testing.T, poolWord uint32, data []byte) {
+		pool := int(poolWord%(1<<20)) + 1
+		ids := make([]ID, 0, len(data)/4)
+		for i := 0; i+3 < len(data); i += 4 {
+			w := uint32(data[i]) | uint32(data[i+1])<<8 | uint32(data[i+2])<<16 | uint32(data[i+3])<<24
+			ids = append(ids, ID(w%uint32(pool)))
+		}
+		if _, err := arena.ensureSampler(pool); err != nil {
+			t.Fatal(err)
+		}
+		want := sortDedup(slices.Clone(ids))
+		oneLevel := arena.appendSortedByBitmap(nil, ids, nil)
+		twoLevel := arena.appendSortedByBitmap(nil, ids, arena.summary)
+		if !slices.Equal(oneLevel, want) || !slices.Equal(twoLevel, want) {
+			t.Fatalf("pool %d, IDs %v: one-level %v, two-level %v, sortDedup %v", pool, ids, oneLevel, twoLevel, want)
+		}
+		for i, w := range arena.bitmap {
+			if w != 0 {
+				t.Fatalf("pool %d: bitmap word %d = %#x left over", pool, i, w)
+			}
+		}
+		for i, w := range arena.summary {
+			if w != 0 {
+				t.Fatalf("pool %d: summary word %d = %#x left over", pool, i, w)
+			}
+		}
+	})
+}
+
 // BenchmarkIntersectorHasAtLeast measures the hot predicate of streaming
 // discovery in its ladder configuration (P = 512, K = 32, q = 2: dense,
 // stride 8 — one cache line per ring) over n = 100000 rings, with the access
@@ -364,9 +430,10 @@ func BenchmarkIntersectorHasAtLeast(b *testing.B) {
 }
 
 // BenchmarkAssignInto measures ring assignment — subset draws plus ring
-// materialization — for n = 100000 sensors, one op per assignment, on both
-// materialization rules: the streaming ladder's P = 512, K = 32 (bitmap)
-// and a Figure 1 point's P = 10000, K = 60 (sort).
+// materialization — for n = 100000 sensors, one op per assignment, on all
+// materialization routes: the streaming ladder's P = 512, K = 32 (bitmap),
+// a Figure 1 point's P = 10000, K = 60 (two-level bitmap) and a pool too
+// large for either, P = 10⁶, K = 60 (sort).
 func BenchmarkAssignInto(b *testing.B) {
 	const n = 100_000
 	for _, c := range []struct {
@@ -374,7 +441,8 @@ func BenchmarkAssignInto(b *testing.B) {
 		pool, ring int
 	}{
 		{name: "P=512/K=32/bitmap", pool: 512, ring: 32},
-		{name: "P=10000/K=60/sort", pool: 10000, ring: 60},
+		{name: "P=10000/K=60/two-level", pool: 10000, ring: 60},
+		{name: "P=1000000/K=60/sort", pool: 1_000_000, ring: 60},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s, err := NewQComposite(c.pool, c.ring, 2)

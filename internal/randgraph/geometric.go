@@ -17,8 +17,8 @@ type GeometricOptions struct {
 	Torus bool
 }
 
-// GeometricPoint is a sampled node position in the unit square.
-type GeometricPoint struct {
+// geometricPoint is a sampled node position in the unit square.
+type geometricPoint struct {
 	X, Y float64
 }
 
@@ -28,7 +28,7 @@ type GeometricPoint struct {
 // through one scratch allocate nothing in steady state. Not safe for
 // concurrent use.
 type GeoScratch struct {
-	pts       []GeometricPoint
+	pts       []geometricPoint
 	uni       []float64 // batched position uniforms, 2 per node
 	cellOf    []int32   // cell index per node
 	cellStart []int32   // CSR offsets into cellItems, one per cell (+1)
@@ -54,7 +54,7 @@ func (sc *GeoScratch) EmitGeometric(r *rng.Rand, n int, radius float64, opts Geo
 		return fmt.Errorf("randgraph: negative radius %v", radius)
 	}
 	if cap(sc.pts) < n {
-		sc.pts = make([]GeometricPoint, n)
+		sc.pts = make([]geometricPoint, n)
 	}
 	sc.pts = sc.pts[:n]
 	if cap(sc.uni) < 2*n {
@@ -63,7 +63,7 @@ func (sc *GeoScratch) EmitGeometric(r *rng.Rand, n int, radius float64, opts Geo
 	sc.uni = sc.uni[:2*n]
 	r.FillFloat64(sc.uni)
 	for i := range sc.pts {
-		sc.pts[i] = GeometricPoint{X: sc.uni[2*i], Y: sc.uni[2*i+1]}
+		sc.pts[i] = geometricPoint{X: sc.uni[2*i], Y: sc.uni[2*i+1]}
 	}
 	pts := sc.pts
 	r2 := radius * radius
@@ -80,7 +80,7 @@ func (sc *GeoScratch) EmitGeometric(r *rng.Rand, n int, radius float64, opts Geo
 			cells = 1 + n
 		}
 	}
-	cellOf := func(p GeometricPoint) (int, int) {
+	cellOf := func(p geometricPoint) (int, int) {
 		cx := int(p.X * float64(cells))
 		cy := int(p.Y * float64(cells))
 		if cx >= cells {
@@ -123,7 +123,7 @@ func (sc *GeoScratch) EmitGeometric(r *rng.Rand, n int, radius float64, opts Geo
 	}
 	sc.cellStart[0] = 0
 
-	dist2 := func(a, b GeometricPoint) float64 {
+	dist2 := func(a, b geometricPoint) float64 {
 		dx := math.Abs(a.X - b.X)
 		dy := math.Abs(a.Y - b.Y)
 		if opts.Torus {

@@ -10,7 +10,7 @@ import (
 
 // geometric draws one random geometric graph through a fresh GeoScratch and
 // returns it with the sampled positions.
-func geometric(r *rng.Rand, n int, radius float64, opts GeometricOptions) (*graph.Undirected, []GeometricPoint, error) {
+func geometric(r *rng.Rand, n int, radius float64, opts GeometricOptions) (*graph.Undirected, []geometricPoint, error) {
 	var sc GeoScratch
 	var edges []graph.Edge
 	err := sc.EmitGeometric(r, n, radius, opts, func(u, v int32) bool {

@@ -18,7 +18,7 @@ import (
 // channel.Model interface crossing allocation-free), and on the streaming
 // degree path (DeployDegreeStats, same closure discipline with the degree
 // accumulator riding beside the union-find). The Figure 1 points at p = 0.5
-// and p = 1 take the row index; a ladder-rung density (sparse channel) keeps every mode on the
+// and p = 1 take the row index, the second key-first; a ladder-rung density (sparse channel) keeps every mode on the
 // batched Intersector, so each strategy is gated on every sink.
 func TestConnectivityTrialAllocBudget(t *testing.T) {
 	if testing.Short() {
@@ -125,8 +125,8 @@ func TestConnectivityTrialAllocBudget(t *testing.T) {
 			}
 		})
 	}
-	if !d.rowIndex || !p1.rowIndex || ladder.rowIndex {
-		t.Errorf("streaming row index: Figure 1 points %v (p = 0.5), %v (p = 1), ladder rung %v; want true, true, false",
-			d.rowIndex, p1.rowIndex, ladder.rowIndex)
+	if !d.rowIndex || d.keyFirst || !p1.keyFirst || ladder.rowIndex {
+		t.Errorf("row index %v, key-first %v at p = 0.5; key-first %v at p = 1; ladder row index %v; want true, false, true, false",
+			d.rowIndex, d.keyFirst, p1.keyFirst, ladder.rowIndex)
 	}
 }

@@ -38,10 +38,13 @@ const maxCountedOverlap = 255
 // counts, row by row, the shared keys of every co-holding pair through a
 // key→holders index; otherwise it tests emitted pairs in batches with a
 // density-adaptive keys.Intersector (bitset-backed for dense rings, sorted
-// merge for sparse ones). See useRowIndex and flush. Both strategies compute
-// the same exact predicate from the actual per-sensor rings (ring sizes may
-// differ per class), so the resulting topology is byte-identical whichever
-// runs.
+// merge for sparse ones). See useRowIndex and flush. When the channel turns
+// every pair on without drawing randomness (OnOff{P: 1}, AlwaysOn), the row
+// index runs key-first: it skips the walk over all C(n, 2) channel pairs and
+// yields each row's key-sharing pairs only (see emitKeyFirst). Both
+// strategies compute the same exact predicate from the actual per-sensor
+// rings (ring sizes may differ per class), so the resulting topology is
+// byte-identical whichever runs.
 type Deployer struct {
 	cfg   Config
 	arena keys.RingArena
@@ -67,15 +70,17 @@ type Deployer struct {
 	netIdx int
 
 	// Key→holders index behind the row index (allocated on first use).
-	keyCnt  []int32 // per-key holder count, then fill cursor
+	keyCnt  []int32 // per-key holder count, then fill cursor, then key-first cursor
 	keyOff  []int32 // prefix offsets into holders
 	holders []int32 // sensors holding each key, grouped by key
 
 	// Row index (see sharesQ): whether the current deployment answers pairs
-	// from rowCnt, the shared-key count of the counted row's pairs, the
-	// peers with a nonzero count, the rings it counts from, and the sensor
-	// whose row rowCnt holds (-1 when none).
+	// from rowCnt, whether it runs key-first (emitKeyFirst), the shared-key
+	// count of the counted row's pairs, the peers with a nonzero count, the
+	// rings it counts from, and the sensor whose row rowCnt holds (-1 when
+	// none).
 	rowIndex   bool
+	keyFirst   bool
 	rowCnt     []uint8
 	rowTouched []int32
 	rowRings   []keys.Ring
@@ -99,7 +104,9 @@ type Deployer struct {
 
 	// Full deployment (Deploy): appends every secure pair to edges and
 	// counts every channel pair into chanDeg, the per-sensor channel degrees
-	// of the Network slot being built. It never stops the stream.
+	// of the Network slot being built (on key-first emission, which yields
+	// secure pairs only, deploy sets them instead). It never stops the
+	// stream.
 	chanDeg      []int32
 	collectYield func(u, v int32) bool
 
@@ -166,7 +173,8 @@ func (d *Deployer) DeployRand(r *rng.Rand) (*Network, error) {
 
 // deploy streams the deployment's secure edges into the collect sink and
 // builds the secure topology from them, in the double-buffered Network slot
-// whose channel-degree buffer the sink fills.
+// whose channel-degree buffer the sink fills (deploy fills it itself after
+// key-first emission, which yields no pair without a secure link).
 func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 	n := cfg.Sensors
 	net := &d.nets[d.netIdx]
@@ -176,8 +184,10 @@ func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 	if d.collectYield == nil {
 		// Persistent for the same reason as streamYield.
 		d.collectYield = func(u, v int32) bool {
-			d.chanDeg[u]++
-			d.chanDeg[v]++
+			if !d.keyFirst {
+				d.chanDeg[u]++
+				d.chanDeg[v]++
+			}
 			if d.sharesQ(u, v) {
 				d.edges = append(d.edges, graph.Edge{U: u, V: v})
 			}
@@ -187,6 +197,12 @@ func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 	asg, err := d.streamSecureEdges(r, d.collectYield)
 	if err != nil {
 		return nil, fmt.Errorf("wsn: deploy: %w", err)
+	}
+	if d.keyFirst {
+		// The all-on channel gives every sensor n − 1 channels.
+		for v := range d.chanDeg {
+			d.chanDeg[v] = int32(n - 1)
+		}
 	}
 	secure, err := d.secBld.FromEdges(n, d.edges)
 	if err != nil {

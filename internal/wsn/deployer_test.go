@@ -427,7 +427,8 @@ func TestNewDeployerValidatesEagerly(t *testing.T) {
 }
 
 // TestDiscoveryStrategySelection asserts that the test configurations above
-// genuinely exercise both shared-key strategies.
+// genuinely exercise both shared-key strategies, and that the row index
+// runs key-first on exactly the all-on channels.
 func TestDiscoveryStrategySelection(t *testing.T) {
 	cfgs := deployerConfigs(t)
 	wantRow := map[string]bool{
@@ -443,6 +444,10 @@ func TestDiscoveryStrategySelection(t *testing.T) {
 		"onoff-all-off":       false, // no channel pairs
 		"disk-zero":           false,
 	}
+	wantKeyFirst := map[string]bool{"onoff-p1": true, "always-on": true}
+	if len(wantRow) != len(cfgs) {
+		t.Fatalf("%d strategy expectations for %d configs", len(wantRow), len(cfgs))
+	}
 	for name, want := range wantRow {
 		d, err := NewDeployer(cfgs[name])
 		if err != nil {
@@ -451,14 +456,16 @@ func TestDiscoveryStrategySelection(t *testing.T) {
 		if _, err := d.DeployConnectivity(1); err != nil {
 			t.Fatal(err)
 		}
-		if d.rowIndex != want {
-			t.Errorf("%s: streaming row index = %v, want %v", name, d.rowIndex, want)
+		if d.rowIndex != want || d.keyFirst != wantKeyFirst[name] {
+			t.Errorf("%s: streaming row index = %v, key-first = %v; want %v, %v",
+				name, d.rowIndex, d.keyFirst, want, wantKeyFirst[name])
 		}
 		if _, err := d.Deploy(1); err != nil {
 			t.Fatal(err)
 		}
-		if d.rowIndex != want {
-			t.Errorf("%s: Deploy row index = %v, want %v", name, d.rowIndex, want)
+		if d.rowIndex != want || d.keyFirst != wantKeyFirst[name] {
+			t.Errorf("%s: Deploy row index = %v, key-first = %v; want %v, %v",
+				name, d.rowIndex, d.keyFirst, want, wantKeyFirst[name])
 		}
 	}
 	d, err := NewDeployer(cfgs["onoff-ladder"])

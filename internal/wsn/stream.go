@@ -175,9 +175,12 @@ func (d *Deployer) deployDegreeStats(r *rng.Rand, k int) (DegreeStats, error) {
 // predistribution, the shared-key test's setup, and the channel draw
 // streamed pair by pair. On the row index each pair goes to rowYield (which
 // filters by sharesQ and feeds whatever sinks the mode maintains); on the
-// Intersector to pushPair, whose flush feeds the sinks d.sink selects. The
-// caller resets its sinks first; the early-exit verdict stops the emitter.
-// It returns the assignment the pairs were tested against.
+// Intersector to pushPair, whose flush feeds the sinks d.sink selects. When
+// the channel turns every pair on without drawing (OnOff{P: 1}, AlwaysOn)
+// the row index skips the channel walk: emitKeyFirst yields only the
+// key-sharing pairs, row by row. The caller resets its sinks first; the
+// early-exit verdict stops the emitter. It returns the assignment the pairs
+// were tested against.
 func (d *Deployer) streamSecureEdges(r *rng.Rand, rowYield func(u, v int32) bool) (keys.Assignment, error) {
 	n := d.cfg.Sensors
 
@@ -211,7 +214,9 @@ func (d *Deployer) streamSecureEdges(r *rng.Rand, rowYield func(u, v int32) bool
 	// 3. Stream the channel draw into the sinks. Class-aware models receive
 	// the deployment's class labels, so the scheme and channel observe one
 	// shared class assignment.
-	if cm, ok := d.cfg.Channel.(channel.ClassModel); ok {
+	if d.keyFirst {
+		d.emitKeyFirst(yield)
+	} else if cm, ok := d.cfg.Channel.(channel.ClassModel); ok {
 		err = cm.EmitClassEdges(r, n, asg.Labels, yield)
 	} else {
 		err = d.cfg.Channel.EmitEdges(r, n, yield)
@@ -283,11 +288,12 @@ func (d *Deployer) flush() bool {
 // resetSharesQ readies sharesQ for one deployment's assignment: it picks
 // the strategy and builds only that one's state — the key→holders index
 // behind the per-row counter, or the keys.Intersector flush tests batches
-// with.
+// with — and whether the row index runs key-first.
 func (d *Deployer) resetSharesQ(asg keys.Assignment) error {
 	rings := asg.Rings
 	d.streamQ = d.cfg.Scheme.RequiredOverlap()
 	d.rowIndex = d.useRowIndex(totalKeys(rings), asg.Labels)
+	d.keyFirst = d.rowIndex && allOn(d.cfg.Channel)
 	if d.rowIndex {
 		if n := d.cfg.Sensors; cap(d.rowCnt) < n {
 			d.rowCnt = make([]uint8, n)
@@ -304,6 +310,39 @@ func (d *Deployer) resetSharesQ(asg keys.Assignment) error {
 		d.ix = ix
 	}
 	return d.ix.Reset(rings)
+}
+
+// allOn reports whether the channel model turns every pair on and draws no
+// randomness doing so: its emitted stream is all C(n, 2) pairs in row order,
+// whatever the generator.
+func allOn(m channel.Model) bool {
+	switch ch := m.(type) {
+	case channel.OnOff:
+		return ch.P == 1
+	case channel.AlwaysOn:
+		return true
+	}
+	return false
+}
+
+// emitKeyFirst stands in for the channel walk of an all-on channel (see
+// allOn) on the row index. For u = 0 … n−1 it counts u's upper row and
+// yields each w > u sharing at least q keys with u, until yield returns
+// false: the pairs the walk would have passed through sharesQ, and only
+// those, in the same rows — so every order-independent statistic, and the
+// secure topology, is the walk's. Only the early-exit position moves. No
+// randomness is drawn either way.
+func (d *Deployer) emitKeyFirst(yield func(u, v int32) bool) {
+	n := d.cfg.Sensors
+	clear(d.keyCnt) // the per-key cursors countRow advances
+	for u := int32(0); u < int32(n); u++ {
+		d.countRow(u)
+		for _, w := range d.rowTouched {
+			if int(d.rowCnt[w]) >= d.streamQ && !yield(u, w) {
+				return
+			}
+		}
+	}
 }
 
 // useRowIndex selects the shared-key strategy with indexCheaper, charged
@@ -360,6 +399,8 @@ func heterPairs(m channel.HeterOnOff, n int, labels []uint8) float64 {
 // recounting when u differs from the counted row. The built-in emitters
 // walk pairs row by row, so each row is counted once and rows past the
 // early exit are never counted; any other order stays exact, only slower.
+// Key-first emission counts each row itself and yields only pairs (u, w)
+// with w > u, which sharesQ answers from the row just counted.
 func (d *Deployer) sharesQ(u, v int32) bool {
 	if u != d.row {
 		d.countRow(u)
@@ -371,12 +412,22 @@ func (d *Deployer) sharesQ(u, v int32) bool {
 // (saturating at maxCountedOverlap) by walking the holders of u's keys:
 // about K·ΣK/P increments instead of one ring merge per pair. u counts
 // itself, so a (u, u) query answers |ring(u)| ≥ q as HasAtLeast does.
+//
+// Key-first emission counts only the upper row, w > u, at half the work:
+// it counts rows in ascending u, and each key's holders are ascending, so
+// the key's cursor in keyCnt (zeroed per deployment) points at u in every
+// list of u's keys, and the holders past it are exactly the w > u.
 func (d *Deployer) countRow(u int32) {
 	d.clearRow()
 	d.row = u
 	rowCnt := d.rowCnt
 	d.rowRings[u].ForEachID(func(k keys.ID) bool {
-		for _, w := range d.holders[d.keyOff[k]:d.keyOff[k+1]] {
+		lo := d.keyOff[k]
+		if d.keyFirst {
+			lo += d.keyCnt[k] + 1
+			d.keyCnt[k]++
+		}
+		for _, w := range d.holders[lo:d.keyOff[k+1]] {
 			if rowCnt[w] == 0 {
 				d.rowTouched = append(d.rowTouched, w)
 			}
