@@ -11,17 +11,14 @@ import (
 // of an assignment live in one flat backing slice and the Ring headers in one
 // slice, so assigning n rings costs O(1) allocations after the first use.
 //
-// Each ring is materialized sorted and deduplicated, by one of three
-// routes picked from the pool P and the ring size K (see appendRing):
-//   - ⌈P/64⌉ ≤ K: set the K drawn IDs as bits in a ⌈P/64⌉-word scratch
-//     bitmap and extract them in word order, cheaper than sorting K values;
-//   - ⌈P/4096⌉ ≤ K: the same bitmap plus a ⌈P/4096⌉-word summary whose bit i
-//     marks a nonzero bitmap word i, so extraction visits only the words
-//     holding IDs — O(K + P/4096) and no comparisons (every Figure 1 pool);
-//   - larger pools: sortDedup.
-//
-// A ring is a set, so its sorted order is unique: every route yields the
-// same ring, and the sampler draws are the same whichever runs.
+// Each ring is materialized sorted and deduplicated without a comparison
+// sort when ⌈P/4096⌉ ≤ K (every pool the repository's experiments use): the
+// K drawn IDs are set as bits in a ⌈P/64⌉-word scratch bitmap and in a
+// ⌈P/4096⌉-word summary whose bit i marks a nonzero bitmap word i, and
+// extraction visits only the marked words — O(K + P/4096), no comparisons.
+// Larger pools keep sortDedup. A ring is a set, so its sorted order is
+// unique: both routes yield the same ring, and the sampler draws are the
+// same whichever runs.
 //
 // Rings returned by an arena-backed assignment are views into the arena and
 // remain valid only until the next assignment into the same arena. The zero
@@ -70,8 +67,7 @@ func (a *RingArena) reserve(n, totalIDs int) {
 }
 
 // appendRing samples one ring of the given size into the arena, sorted by
-// the bitmap when ⌈P/64⌉ ≤ size, by the bitmap and its summary when
-// ⌈P/4096⌉ ≤ size, and by sortDedup otherwise.
+// the two-level bitmap when ⌈P/4096⌉ ≤ size and by sortDedup otherwise.
 func (a *RingArena) appendRing(r *rng.Rand, sampler *rng.SubsetSampler, size int) error {
 	buf, err := sampler.AppendSample(r, size, a.buf[:0])
 	a.buf = buf
@@ -79,12 +75,9 @@ func (a *RingArena) appendRing(r *rng.Rand, sampler *rng.SubsetSampler, size int
 		return err
 	}
 	start := len(a.ids)
-	switch {
-	case len(a.bitmap) <= size:
-		a.ids = a.appendSortedByBitmap(a.ids, buf, nil)
-	case len(a.summary) <= size:
-		a.ids = a.appendSortedByBitmap(a.ids, buf, a.summary)
-	default:
+	if len(a.summary) <= size {
+		a.ids = a.appendSortedByBitmap(a.ids, buf)
+	} else {
 		a.ids = append(a.ids, sortDedup(buf)...)
 	}
 	a.rings = append(a.rings, Ring{ids: a.ids[start:len(a.ids):len(a.ids)]})
@@ -92,25 +85,13 @@ func (a *RingArena) appendRing(r *rng.Rand, sampler *rng.SubsetSampler, size int
 }
 
 // appendSortedByBitmap appends the distinct IDs of ids (all in [0, P)) to
-// dst in ascending order, leaving the scratch bitmap all-zero again. With a
-// nil summary it scans every bitmap word; with the arena's summary it also
-// marks each touched word there and visits only the marked words, clearing
-// both levels as it goes.
-func (a *RingArena) appendSortedByBitmap(dst, ids []ID, summary []uint64) []ID {
-	bm := a.bitmap
+// dst in ascending order. It marks each ID in the scratch bitmap and its
+// word in the summary, then visits only the marked words, clearing both
+// levels as it goes so they are all-zero again afterwards.
+func (a *RingArena) appendSortedByBitmap(dst, ids []ID) []ID {
+	bm, summary := a.bitmap, a.summary
 	for _, k := range ids {
 		bm[k>>6] |= 1 << (uint(k) & 63)
-	}
-	if summary == nil {
-		for i, w := range bm {
-			if w != 0 {
-				bm[i] = 0
-				dst = appendWordIDs(dst, i, w)
-			}
-		}
-		return dst
-	}
-	for _, k := range ids {
 		summary[k>>12] |= 1 << (uint(k>>6) & 63)
 	}
 	for j, s := range summary {
@@ -121,20 +102,14 @@ func (a *RingArena) appendSortedByBitmap(dst, ids []ID, summary []uint64) []ID {
 		for s != 0 {
 			i := j<<6 | bits.TrailingZeros64(s)
 			s &= s - 1
-			dst = appendWordIDs(dst, i, bm[i])
+			w := bm[i]
 			bm[i] = 0
+			base := ID(i << 6)
+			for w != 0 {
+				dst = append(dst, base+ID(bits.TrailingZeros64(w)))
+				w &= w - 1
+			}
 		}
-	}
-	return dst
-}
-
-// appendWordIDs appends the IDs whose bits are set in bitmap word i, in
-// ascending order.
-func appendWordIDs(dst []ID, i int, w uint64) []ID {
-	base := ID(i << 6)
-	for w != 0 {
-		dst = append(dst, base+ID(bits.TrailingZeros64(w)))
-		w &= w - 1
 	}
 	return dst
 }

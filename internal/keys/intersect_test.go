@@ -197,36 +197,30 @@ func TestIntersectorRejectsOutOfPoolKeys(t *testing.T) {
 // ringRoute names the materialization route appendRing takes for a pool
 // and ring size.
 func ringRoute(pool, ring int) string {
-	switch words := (pool + 63) / 64; {
-	case words <= ring:
-		return "bitmap"
-	case (words+63)/64 <= ring:
+	if ((pool+63)/64+63)/64 <= ring {
 		return "two-level"
-	default:
-		return "sort"
 	}
+	return "sort"
 }
 
 // TestAssignIntoMatchesAssign pins the determinism contract of the arena
 // path: for equal generator seeds, AssignInto must produce exactly the rings
 // Assign does (which always sorts) — including across arena reuse and a
-// change of pool, on all three materialization routes and at their
-// boundaries: ⌈P/64⌉ = K takes the bitmap, ⌈P/64⌉ = K + 1 the two-level
-// bitmap; ⌈P/4096⌉ = K takes the two-level bitmap, ⌈P/4096⌉ = K + 1 the
-// sort.
+// change of pool, on both materialization routes and at their boundary:
+// ⌈P/4096⌉ = K takes the two-level bitmap, ⌈P/4096⌉ = K + 1 the sort.
 func TestAssignIntoMatchesAssign(t *testing.T) {
 	var arena RingArena
 	for _, tc := range []struct {
 		pool, ring int
 		route      string
 	}{
-		{pool: 500, ring: 40, route: "bitmap"},
-		{pool: 512, ring: 32, route: "bitmap"},
-		{pool: 512, ring: 8, route: "bitmap"},    // ⌈P/64⌉ = K
-		{pool: 513, ring: 8, route: "two-level"}, // ⌈P/64⌉ = K + 1
-		{pool: 449, ring: 7, route: "two-level"}, // ⌈P/64⌉ = K + 1
-		{pool: 448, ring: 7, route: "bitmap"},    // ⌈P/64⌉ = K
-		{pool: 64, ring: 64, route: "bitmap"},    // the whole pool
+		{pool: 500, ring: 40, route: "two-level"},
+		{pool: 512, ring: 32, route: "two-level"},
+		{pool: 512, ring: 8, route: "two-level"},
+		{pool: 513, ring: 8, route: "two-level"},
+		{pool: 449, ring: 7, route: "two-level"},
+		{pool: 448, ring: 7, route: "two-level"},
+		{pool: 64, ring: 64, route: "two-level"}, // the whole pool
 		{pool: 4096, ring: 1, route: "two-level"},
 		{pool: 8192, ring: 2, route: "two-level"}, // ⌈P/4096⌉ = K
 		{pool: 8193, ring: 2, route: "sort"},      // ⌈P/4096⌉ = K + 1
@@ -256,14 +250,14 @@ func TestAssignIntoMatchesAssign(t *testing.T) {
 }
 
 // TestHeterogeneousAssignIntoMixesRules covers a mixture whose classes take
-// all three materialization routes (P = 10000: the 2-key class sorts, the
-// 30-key class takes the two-level bitmap, the 160-key class the bitmap)
-// against a reference that replays the same draws — one label-stream seed,
-// then one subset per sensor — and sorts every ring.
+// both materialization routes (P = 10000: the 2-key class sorts, the 30-
+// and 160-key classes take the two-level bitmap) against a reference that
+// replays the same draws — one label-stream seed, then one subset per
+// sensor — and sorts every ring.
 func TestHeterogeneousAssignIntoMixesRules(t *testing.T) {
 	const pool = 10000
 	classes := []Class{{Mu: 0.4, RingSize: 2}, {Mu: 0.3, RingSize: 30}, {Mu: 0.3, RingSize: 160}}
-	for c, want := range []string{"sort", "two-level", "bitmap"} {
+	for c, want := range []string{"sort", "two-level", "two-level"} {
 		if got := ringRoute(pool, classes[c].RingSize); got != want {
 			t.Fatalf("class %d: route %s, want %s", c, got, want)
 		}
@@ -345,10 +339,10 @@ func FuzzNewRing(f *testing.F) {
 	})
 }
 
-// FuzzRingSortRoutes checks that the three ring materialization routes —
-// sortDedup, the one-level bitmap scan and the two-level one — agree on any
-// multiset of in-pool IDs, whatever the ring size, and that both scratch
-// levels are all-zero afterwards. The pool is in [1, 2²⁰]; the IDs are the
+// FuzzRingSortRoutes checks that the two ring materialization routes —
+// sortDedup and the two-level bitmap scan — agree on any multiset of in-pool
+// IDs, whatever the ring size, and that both scratch levels are all-zero
+// afterwards. The pool is in [1, 2²⁰]; the IDs are the
 // data's 4-byte words modulo the pool, so duplicates occur.
 func FuzzRingSortRoutes(f *testing.F) {
 	f.Add(uint32(10000), []byte{1, 0, 0, 0, 1, 0, 0, 0, 15, 39, 0, 0, 0, 16, 0, 0})
@@ -367,10 +361,8 @@ func FuzzRingSortRoutes(f *testing.F) {
 			t.Fatal(err)
 		}
 		want := sortDedup(slices.Clone(ids))
-		oneLevel := arena.appendSortedByBitmap(nil, ids, nil)
-		twoLevel := arena.appendSortedByBitmap(nil, ids, arena.summary)
-		if !slices.Equal(oneLevel, want) || !slices.Equal(twoLevel, want) {
-			t.Fatalf("pool %d, IDs %v: one-level %v, two-level %v, sortDedup %v", pool, ids, oneLevel, twoLevel, want)
+		if got := arena.appendSortedByBitmap(nil, ids); !slices.Equal(got, want) {
+			t.Fatalf("pool %d, IDs %v: two-level %v, sortDedup %v", pool, ids, got, want)
 		}
 		for i, w := range arena.bitmap {
 			if w != 0 {
@@ -430,17 +422,17 @@ func BenchmarkIntersectorHasAtLeast(b *testing.B) {
 }
 
 // BenchmarkAssignInto measures ring assignment — subset draws plus ring
-// materialization — for n = 100000 sensors, one op per assignment, on all
-// materialization routes: the streaming ladder's P = 512, K = 32 (bitmap),
-// a Figure 1 point's P = 10000, K = 60 (two-level bitmap) and a pool too
-// large for either, P = 10⁶, K = 60 (sort).
+// materialization — for n = 100000 sensors, one op per assignment, on both
+// materialization routes: the streaming ladder's P = 512, K = 32 and a
+// Figure 1 point's P = 10000, K = 60 (two-level bitmap), and a pool too
+// large for it, P = 10⁶, K = 60 (sort).
 func BenchmarkAssignInto(b *testing.B) {
 	const n = 100_000
 	for _, c := range []struct {
 		name       string
 		pool, ring int
 	}{
-		{name: "P=512/K=32/bitmap", pool: 512, ring: 32},
+		{name: "P=512/K=32/two-level", pool: 512, ring: 32},
 		{name: "P=10000/K=60/two-level", pool: 10000, ring: 60},
 		{name: "P=1000000/K=60/sort", pool: 1_000_000, ring: 60},
 	} {

@@ -18,8 +18,9 @@ import (
 // channel.Model interface crossing allocation-free), and on the streaming
 // degree path (DeployDegreeStats, same closure discipline with the degree
 // accumulator riding beside the union-find). The Figure 1 points at p = 0.5
-// and p = 1 take the row index, the second key-first; a ladder-rung density (sparse channel) keeps every mode on the
-// batched Intersector, so each strategy is gated on every sink.
+// and p = 1 take the row index, the second key-first; a ladder-rung density
+// (sparse channel) keeps every mode on the batched Intersector, so each
+// strategy is gated on every sink.
 func TestConnectivityTrialAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs the full n=1000 deployment")

@@ -70,7 +70,7 @@ type Deployer struct {
 	netIdx int
 
 	// Key→holders index behind the row index (allocated on first use).
-	keyCnt  []int32 // per-key holder count, then fill cursor, then key-first cursor
+	keyCnt  []int32 // per-key holder count, then fill cursor
 	keyOff  []int32 // prefix offsets into holders
 	holders []int32 // sensors holding each key, grouped by key
 
@@ -104,8 +104,8 @@ type Deployer struct {
 
 	// Full deployment (Deploy): appends every secure pair to edges and
 	// counts every channel pair into chanDeg, the per-sensor channel degrees
-	// of the Network slot being built (on key-first emission, which yields
-	// secure pairs only, deploy sets them instead). It never stops the
+	// of the Network slot being built (key-first emission yields secure
+	// pairs only, so deploy overwrites them afterwards). It never stops the
 	// stream.
 	chanDeg      []int32
 	collectYield func(u, v int32) bool
@@ -173,7 +173,7 @@ func (d *Deployer) DeployRand(r *rng.Rand) (*Network, error) {
 
 // deploy streams the deployment's secure edges into the collect sink and
 // builds the secure topology from them, in the double-buffered Network slot
-// whose channel-degree buffer the sink fills (deploy fills it itself after
+// whose channel-degree buffer the sink fills (deploy overwrites it after
 // key-first emission, which yields no pair without a secure link).
 func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 	n := cfg.Sensors
@@ -184,10 +184,8 @@ func (d *Deployer) deploy(cfg Config, r *rng.Rand) (*Network, error) {
 	if d.collectYield == nil {
 		// Persistent for the same reason as streamYield.
 		d.collectYield = func(u, v int32) bool {
-			if !d.keyFirst {
-				d.chanDeg[u]++
-				d.chanDeg[v]++
-			}
+			d.chanDeg[u]++
+			d.chanDeg[v]++
 			if d.sharesQ(u, v) {
 				d.edges = append(d.edges, graph.Edge{U: u, V: v})
 			}

@@ -56,9 +56,9 @@ func requireSameNetwork(t *testing.T, want, got *Network) {
 // models: dense channels take the row index, near-empty ones the batched
 // Intersector (TestDiscoveryStrategySelection pins which case takes which).
 // onoff-q3 and onoff-p1 share the Figure 1 regime scaled down, at p = 0.5
-// and at p = 1. onoff-ladder is the streaming ladder's rung scaled down to n = 1000: the
-// dense Intersector, tested in batches (TestLadderBatchBoundaries pins where
-// its streams stop relative to them).
+// and at p = 1. onoff-ladder is the streaming ladder's rung scaled down to
+// n = 1000: the dense Intersector, tested in batches
+// (TestLadderBatchBoundaries pins where its streams stop relative to them).
 func deployerConfigs(t *testing.T) map[string]Config {
 	const ladderSensors = 1000
 	t.Helper()

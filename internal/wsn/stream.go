@@ -326,19 +326,18 @@ func allOn(m channel.Model) bool {
 }
 
 // emitKeyFirst stands in for the channel walk of an all-on channel (see
-// allOn) on the row index. For u = 0 … n−1 it counts u's upper row and
-// yields each w > u sharing at least q keys with u, until yield returns
-// false: the pairs the walk would have passed through sharesQ, and only
-// those, in the same rows — so every order-independent statistic, and the
-// secure topology, is the walk's. Only the early-exit position moves. No
+// allOn) on the row index. For u = 0 … n−1 it counts u's row and yields
+// each w > u sharing at least q keys with u, until yield returns false:
+// the pairs the walk would have passed through sharesQ, and only those, in
+// the same rows — so every order-independent statistic, and the secure
+// topology, is the walk's. Only the early-exit position moves. No
 // randomness is drawn either way.
 func (d *Deployer) emitKeyFirst(yield func(u, v int32) bool) {
 	n := d.cfg.Sensors
-	clear(d.keyCnt) // the per-key cursors countRow advances
 	for u := int32(0); u < int32(n); u++ {
 		d.countRow(u)
 		for _, w := range d.rowTouched {
-			if int(d.rowCnt[w]) >= d.streamQ && !yield(u, w) {
+			if w > u && int(d.rowCnt[w]) >= d.streamQ && !yield(u, w) {
 				return
 			}
 		}
@@ -400,7 +399,7 @@ func heterPairs(m channel.HeterOnOff, n int, labels []uint8) float64 {
 // walk pairs row by row, so each row is counted once and rows past the
 // early exit are never counted; any other order stays exact, only slower.
 // Key-first emission counts each row itself and yields only pairs (u, w)
-// with w > u, which sharesQ answers from the row just counted.
+// of that row, which sharesQ answers from the row just counted.
 func (d *Deployer) sharesQ(u, v int32) bool {
 	if u != d.row {
 		d.countRow(u)
@@ -412,22 +411,12 @@ func (d *Deployer) sharesQ(u, v int32) bool {
 // (saturating at maxCountedOverlap) by walking the holders of u's keys:
 // about K·ΣK/P increments instead of one ring merge per pair. u counts
 // itself, so a (u, u) query answers |ring(u)| ≥ q as HasAtLeast does.
-//
-// Key-first emission counts only the upper row, w > u, at half the work:
-// it counts rows in ascending u, and each key's holders are ascending, so
-// the key's cursor in keyCnt (zeroed per deployment) points at u in every
-// list of u's keys, and the holders past it are exactly the w > u.
 func (d *Deployer) countRow(u int32) {
 	d.clearRow()
 	d.row = u
 	rowCnt := d.rowCnt
 	d.rowRings[u].ForEachID(func(k keys.ID) bool {
-		lo := d.keyOff[k]
-		if d.keyFirst {
-			lo += d.keyCnt[k] + 1
-			d.keyCnt[k]++
-		}
-		for _, w := range d.holders[lo:d.keyOff[k+1]] {
+		for _, w := range d.holders[d.keyOff[k]:d.keyOff[k+1]] {
 			if rowCnt[w] == 0 {
 				d.rowTouched = append(d.rowTouched, w)
 			}
